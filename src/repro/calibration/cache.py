@@ -199,6 +199,12 @@ class CalibrationCache:
             raise CalibrationError("allocation keys must have 3 shares")
         self._cache[key] = params
 
+    def replay_record(self, data: Dict[str, object]) -> None:
+        """Install one journaled ``calibration`` record — the inverse
+        of what :meth:`params_for` appends (journal replay handler)."""
+        self.add_point(tuple(float(v) for v in data["allocation"]),
+                       OptimizerParameters.from_dict(data["parameters"]))
+
     def _calibrate_with_retries(self,
                                 allocation: ResourceVector) -> OptimizerParameters:
         """Run the experiment, retrying whole-experiment failures once more."""

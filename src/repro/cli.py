@@ -31,11 +31,15 @@ span-aligned hot-frame reports plus flamegraph-style folded stacks
 ``chaos`` runs the paper's design problem with a fault injector active
 (see ``docs/robustness.md``) and prints the design next to a resilience
 summary: faults injected, retries, rejected outliers, fallbacks, and
-search budget stops. With ``--journal`` the run checkpoints every
-completed unit of work; kill it and ``resume`` continues from the
-journal, producing a bit-identical design. Exit codes follow the
-contract in :func:`main`: 0 success, 2 usage, 3 permanent failure,
-4 stopped-early-but-resumable.
+search budget stops. Exit codes follow the contract in :func:`main`:
+0 success, 2 usage, 3 permanent failure, 4 stopped-early-but-resumable.
+
+``chaos``, ``monitor``, ``serve``, ``fleet`` and ``design --co-tune``
+are journaled runs: with ``--journal PATH`` every completed unit of
+work (a calibration, an evaluation, an observation, a committed
+incumbent, a host design, ...) checkpoints; kill the run and ``resume
+PATH`` continues it to a bit-identical result (``docs/robustness.md``,
+"How a journaled run works").
 
 ``design``, ``chaos`` and ``resume`` accept ``--workers N`` (``0`` =
 one per CPU core) and ``--pool serial|thread|process``: cost-model
@@ -62,10 +66,8 @@ residuals raises drift events at ``--drift-threshold``; a budget of
 ``--recal-budget`` calibration requests is spent on targeted knot
 refits (highest drift signal × CV uncertainty first); the search then
 warm-starts from the incumbent allocation instead of restarting cold
-(see ``docs/drift.md``). With ``--journal`` every observation, drift
-event, recalibration and redesign checkpoints, and ``resume``
-continues a killed online run bit-identically. ``design --online`` is
-the same loop under the default ``turbulent`` plan.
+(see ``docs/drift.md``). ``design --online`` is the same loop under the
+default ``turbulent`` plan.
 
 ``serve`` runs one deterministic session of the always-on design
 service: after a continuous-mode boot fit it drives a seeded open-loop
@@ -74,18 +76,14 @@ calls, a design request every ``--design-every``-th arrival) through
 admission control (bounded queue, per-tenant token buckets), deadlines,
 and the degradation ladder (fresh search → warm-start → serve-stale →
 typed refusal), with a circuit breaker around the fault-injected
-calibration path (see ``docs/serve.md``). With ``--journal`` every
-calibration, knot refresh and committed incumbent checkpoints, and
-``resume`` continues a killed session bit-identically.
+calibration path (see ``docs/serve.md``).
 
 ``design --co-tune`` opens the paper's second axis — physical design:
 Extend-style greedy index selection (hypothetical single-column
 indexes seeded from the workload's own predicates, best what-if
 benefit per storage page first, under ``--storage-budget`` pages per
 VM) alternating with the allocation search to a fixed point. The
-total-cost trajectory is monotone by construction. With ``--journal``
-every calibration and what-if evaluation checkpoints, and ``resume``
-continues a killed co-tuning run to a bit-identical co-design (see
+total-cost trajectory is monotone by construction (see
 ``docs/codesign.md``).
 
 ``fleet`` scales the design problem from one box to a synthetic
@@ -93,9 +91,7 @@ datacenter: it clusters workloads by cost-curve shape, assigns
 clusters to heterogeneous hosts, tunes every host with the single-host
 allocation search (fanned out over ``--workers``), and reroutes
 worst-fit workloads until total fleet cost converges (see
-``docs/fleet.md``). With ``--journal`` every completed host design
-checkpoints, and ``resume`` continues a killed fleet run to a
-bit-identical final placement.
+``docs/fleet.md``).
 
 Every command accepts ``--stats`` (print a run report of the counted
 work after the command's own output) and ``--stats-json PATH`` (write
@@ -110,10 +106,11 @@ how that machine relates to the paper's testbed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import tempfile
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from repro import obs
 from repro.calibration import CalibrationCache, CalibrationRunner
@@ -127,6 +124,8 @@ from repro.core import (
 from repro.faults import NAMED_PLANS, FaultInjector, FaultPlan, RetryPolicy
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.parallel import POOL_KINDS, make_engine
+from repro.recovery import RunSupervisor, read_journal
+from repro.recovery.kernel import PLAN_META_FIELDS
 from repro.util.errors import (
     AdmissionError,
     AllocationError,
@@ -141,19 +140,18 @@ from repro.workloads import build_tpch_database, tpch_query
 from repro.workloads.workload import Workload
 
 SHARE_LEVELS = (0.25, 0.5, 0.75)
+TPCH_TABLES = ["customer", "orders", "lineitem"]
 
 
 def _allocation(args) -> ResourceVector:
     return ResourceVector.of(cpu=args.cpu, memory=args.memory, io=args.io)
 
 
-def _add_share_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cpu", type=float, default=0.5,
-                        help="CPU share in [0, 1] (default 0.5)")
-    parser.add_argument("--memory", type=float, default=0.5,
-                        help="memory share in [0, 1] (default 0.5)")
-    parser.add_argument("--io", type=float, default=0.5,
-                        help="I/O share in [0, 1] (default 0.5)")
+def _engine(args):
+    """``--workers/--pool`` as a context manager yielding the evaluation
+    engine (``None`` when serial), closed when the block ends."""
+    engine = make_engine(args.workers, args.pool)
+    return engine if engine is not None else contextlib.nullcontext()
 
 
 def _cache(args) -> CalibrationCache:
@@ -193,9 +191,29 @@ def _design_continuous(cache, problem, args, engine=None):
     return outcome
 
 
-def _codesign_problem(scale: float,
-                      resources=(ResourceKind.CPU,)
-                      ) -> VirtualizationDesignProblem:
+def _chaos_problem(args, make_db=None) -> VirtualizationDesignProblem:
+    """The paper's two-workload design problem (Figure 4 shape), which
+    design, report, chaos, monitor, serve and their resumes all solve —
+    on one shared database unless *make_db* builds one per workload."""
+    if make_db is None:
+        shared = build_tpch_database(scale_factor=args.scale,
+                                     tables=TPCH_TABLES)
+
+        def make_db(name):
+            return shared
+    specs = [
+        WorkloadSpec(Workload.repeat(name, tpch_query(query), count),
+                     make_db("tpch-" + name))
+        for name, query, count in (("order-audit", "Q4", 3),
+                                   ("cust-report", "Q13", 9))]
+    return VirtualizationDesignProblem(
+        machine=laboratory_machine(), specs=specs,
+        # CPU unless the command (design --resources, resume) set them.
+        controlled_resources=getattr(args, "controlled", (ResourceKind.CPU,)),
+    )
+
+
+def _codesign_problem(args) -> VirtualizationDesignProblem:
     """The co-tuning design problem: the paper's two workloads, each on
     its **own** database with **no** secondary indexes.
 
@@ -205,27 +223,12 @@ def _codesign_problem(scale: float,
     indexes because the physical design is the axis being tuned; the
     selection pass starts from the paper's bare tables.
     """
-    machine = laboratory_machine()
-
-    def make_db(name: str):
-        return build_tpch_database(
-            scale_factor=scale, tables=["customer", "orders", "lineitem"],
-            with_indexes=False, name=name)
-
-    specs = [
-        WorkloadSpec(Workload.repeat("order-audit", tpch_query("Q4"), 3),
-                     make_db("tpch-order-audit")),
-        WorkloadSpec(Workload.repeat("cust-report", tpch_query("Q13"), 9),
-                     make_db("tpch-cust-report")),
-    ]
-    return VirtualizationDesignProblem(
-        machine=machine, specs=specs,
-        controlled_resources=tuple(resources),
-    )
+    return _chaos_problem(args, lambda name: build_tpch_database(
+        scale_factor=args.scale, tables=TPCH_TABLES,
+        with_indexes=False, name=name))
 
 
-def _run_codesign(problem, args, resume: bool) -> int:
-    """Drive a journaled joint index + allocation co-tuning run."""
+def _run_codesign(problem, args, resume: bool):
     from repro.codesign import CodesignSupervisor
 
     supervisor = CodesignSupervisor(
@@ -236,19 +239,14 @@ def _run_codesign(problem, args, resume: bool) -> int:
         max_units=args.max_units,
         scenario={"scale": args.scale},
         workers=args.workers, pool=args.pool)
-    run = supervisor.run(resume=resume)
-    if not run.completed:
-        print(f"Co-tuning run stopped after {run.new_units} new unit(s) "
-              f"({run.replayed_units} replayed); journal {args.journal} "
-              f"is resumable with: repro resume {args.journal}")
-        return 4
+    return supervisor.run(resume=resume), None
+
+
+def _show_codesign(run, args) -> None:
     print(run.design.summary())
     print()
     print("Trajectory (total predicted seconds per half-step): "
           + " -> ".join(f"{t:.4f}" for t in run.design.trajectory))
-    print(f"Journal: {run.replayed_units} unit(s) replayed, "
-          f"{run.new_units} freshly committed -> {args.journal}")
-    return 0
 
 
 def cmd_design(args) -> int:
@@ -261,39 +259,19 @@ def cmd_design(args) -> int:
         print(f"Co-tuning indexes + allocation (storage budget "
               f"{args.storage_budget} page(s)/VM, {args.algorithm}, "
               f"grid {args.grid}) ...", file=sys.stderr)
-        problem = _codesign_problem(args.scale)
-        if args.journal:
-            return _run_codesign(problem, args, resume=False)
-        # No journal requested: the co-tuner still checkpoints (the
-        # supervisor is journal-driven), just into a throwaway file.
-        with tempfile.TemporaryDirectory(prefix="repro-codesign-") as scratch:
-            args.journal = os.path.join(scratch, "codesign.journal")
-            return _run_codesign(problem, args, resume=False)
-    machine = laboratory_machine()
+        return _run_journaled("codesign", args)
     print(f"Loading TPC-H (scale factor {args.scale}) ...", file=sys.stderr)
-    db = build_tpch_database(scale_factor=args.scale,
-                             tables=["customer", "orders", "lineitem"])
-    specs = [
-        WorkloadSpec(Workload.repeat("order-audit", tpch_query("Q4"), 3), db),
-        WorkloadSpec(Workload.repeat("cust-report", tpch_query("Q13"), 9), db),
-    ]
+    args.controlled = tuple(
+        ResourceKind(token) for token in args.resources.split(","))
+    problem = _chaos_problem(args)
     cache = _cache(args)
-    resources = tuple(
-        ResourceKind(token) for token in args.resources.split(",")
-    )
-    problem = VirtualizationDesignProblem(
-        machine=machine, specs=specs, controlled_resources=resources,
-    )
     if args.online:
         # Delegate to the drift-aware closed loop (docs/drift.md) under
         # the default turbulent plan, journaling into a throwaway file.
-        args.max_units = None
-        with tempfile.TemporaryDirectory(prefix="repro-online-") as scratch:
-            args.journal = os.path.join(scratch, "online.journal")
-            return _run_online(FaultPlan.named("turbulent"), problem, args,
-                               resume=False)
-    engine = make_engine(args.workers, args.pool)
-    try:
+        args.journal = args.max_units = None
+        args.fault_plan = FaultPlan.named("turbulent")
+        return _run_journaled("drift", args, problem=problem)
+    with _engine(args) as engine:
         if args.continuous and cache.surrogate is None:
             # Fit + search-in-the-loop polish (a loaded v3 cache that
             # already carries a fit skips straight to the search).
@@ -307,9 +285,6 @@ def cmd_design(args) -> int:
                                      engine=engine,
                                      continuous=args.continuous,
                                      fine_factor=args.fine_factor)
-    finally:
-        if engine is not None:
-            engine.close()
     print(design.summary())
     if args.save:
         count = cache.save(args.save)
@@ -317,7 +292,7 @@ def cmd_design(args) -> int:
               + (" and the surrogate fit" if cache.surrogate else "")
               + f" to {args.save}")
     if args.validate:
-        measured = MeasuredCostModel(machine, calibration=cache)
+        measured = MeasuredCostModel(problem.machine, calibration=cache)
         rows = []
         for name in design.allocation.workload_names():
             spec = problem.spec(name)
@@ -336,8 +311,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    db = build_tpch_database(scale_factor=args.scale,
-                             tables=["customer", "orders", "lineitem"])
+    db = build_tpch_database(scale_factor=args.scale, tables=TPCH_TABLES)
     cache = _cache(args)
     params = cache.params_for(_allocation(args))
     whatif = WhatIfOptimizer(db.catalog, params)
@@ -364,8 +338,7 @@ def cmd_experiment(args) -> int:
         ))
         return 0
 
-    db = build_tpch_database(scale_factor=0.01,
-                             tables=["customer", "orders", "lineitem"])
+    db = build_tpch_database(scale_factor=0.01, tables=TPCH_TABLES)
     estimated = OptimizerCostModel(cache)
     measured = MeasuredCostModel(machine, calibration=cache)
 
@@ -413,23 +386,13 @@ def cmd_report(args) -> int:
     section of the report has data.
     """
     obs.reset()
-    machine = laboratory_machine()
     print(f"Running a {args.algorithm} design to collect a run report ...",
           file=sys.stderr)
-    db = build_tpch_database(scale_factor=args.scale,
-                             tables=["customer", "orders", "lineitem"])
-    specs = [
-        WorkloadSpec(Workload.repeat("order-audit", tpch_query("Q4"), 3), db),
-        WorkloadSpec(Workload.repeat("cust-report", tpch_query("Q13"), 9), db),
-    ]
+    problem = _chaos_problem(args)
     cache = _cache(args)
-    problem = VirtualizationDesignProblem(
-        machine=machine, specs=specs,
-        controlled_resources=(ResourceKind.CPU,),
-    )
     designer = VirtualizationDesigner(problem, OptimizerCostModel(cache))
     design = designer.design(args.algorithm, grid=args.grid)
-    measured = MeasuredCostModel(machine, calibration=cache)
+    measured = MeasuredCostModel(problem.machine, calibration=cache)
     for name in design.allocation.workload_names():
         measured.cost(problem.spec(name), design.allocation.vector_for(name))
 
@@ -441,22 +404,18 @@ def cmd_report(args) -> int:
     return 0
 
 
+#: Fault-plan fields a subcommand may expose as ``--<field>`` overrides:
+#: every field a journal header records, bar the plan's name and seed.
+PLAN_OVERRIDES = PLAN_META_FIELDS[2:]
+
+
 def _chaos_plan(args) -> FaultPlan:
     """The fault plan the ``chaos`` command runs under: a named plan,
     optionally overridden by explicit rate flags."""
-    plan = FaultPlan.named(args.plan)
-    overrides = {}
-    for flag in ("transient_rate", "outlier_rate", "hang_rate",
-                 "boot_failure_rate", "vm_crash_rate", "host_degrade_rate",
-                 "host_degrade_factor", "migration_failure_rate"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[flag] = value
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        plan = plan.with_overrides(**overrides)
-    return plan
+    overrides = {flag: getattr(args, flag)
+                 for flag in ("seed",) + PLAN_OVERRIDES
+                 if getattr(args, flag, None) is not None}
+    return FaultPlan.named(args.plan).with_overrides(**overrides)
 
 
 def _resilience_rows(report: obs.RunReport) -> List[List[str]]:
@@ -485,23 +444,6 @@ def _resilience_rows(report: obs.RunReport) -> List[List[str]]:
     return rows
 
 
-def _chaos_problem(scale: float,
-                   resources=(ResourceKind.CPU,)
-                   ) -> VirtualizationDesignProblem:
-    """The standard chaos/resume design problem (Figure 4 shape)."""
-    machine = laboratory_machine()
-    db = build_tpch_database(scale_factor=scale,
-                             tables=["customer", "orders", "lineitem"])
-    specs = [
-        WorkloadSpec(Workload.repeat("order-audit", tpch_query("Q4"), 3), db),
-        WorkloadSpec(Workload.repeat("cust-report", tpch_query("Q13"), 9), db),
-    ]
-    return VirtualizationDesignProblem(
-        machine=machine, specs=specs,
-        controlled_resources=tuple(resources),
-    )
-
-
 def _print_chaos_outcome(plan: FaultPlan, cache: CalibrationCache) -> None:
     report = obs.RunReport.capture(label=f"chaos/{plan.name}")
     if report.summary.get("faults_injected", 0) == 0:
@@ -522,49 +464,41 @@ def _print_chaos_outcome(plan: FaultPlan, cache: CalibrationCache) -> None:
         ))
 
 
-def _run_supervised(plan: FaultPlan, args, resume: bool) -> int:
-    """Drive a journaled (crash-recoverable) chaos run or its resume."""
-    from repro.recovery import RunSupervisor
+def _search_kwargs(args) -> dict:
+    """Supervisor arguments the chaos, monitor and serve runs share."""
+    return dict(
+        plan=args.fault_plan, algorithm=args.algorithm, grid=args.grid,
+        fine_factor=args.fine_factor, surrogate_tol=args.surrogate_tol,
+        surrogate_budget=args.surrogate_budget, max_units=args.max_units,
+        extra_meta={"scale": args.scale},
+        workers=args.workers, pool=args.pool)
 
-    problem = _chaos_problem(args.scale)
+
+def _run_chaos(problem, args, resume: bool):
     supervisor = RunSupervisor(
-        problem, args.journal, plan=plan,
-        algorithm=args.algorithm, grid=args.grid,
+        problem, args.journal, **_search_kwargs(args),
         max_evaluations=args.max_evaluations,
         watchdog_probes=args.watchdog_probes,
-        max_units=args.max_units,
-        extra_meta={"scale": args.scale},
-        workers=args.workers, pool=args.pool,
-        continuous=getattr(args, "continuous", False),
-        fine_factor=getattr(args, "fine_factor", 8),
-        surrogate_tol=getattr(args, "surrogate_tol", 0.05),
-        surrogate_budget=getattr(args, "surrogate_budget", 24),
-    )
-    run = supervisor.run(resume=resume)
-    if not run.completed:
-        print(f"Run stopped after {run.new_units} new unit(s) "
-              f"({run.replayed_units} replayed); journal {args.journal} "
-              f"is resumable with: repro resume {args.journal}")
-        return 4
+        continuous=args.continuous)
+    return supervisor.run(resume=resume), supervisor.cache
+
+
+def _show_chaos(run, args) -> int:
     print(run.design.summary())
-    print()
     if run.actions:
         rows = [[f"{action.time_seconds:.1f}", action.subject, action.event,
                  action.action, action.detail] for action in run.actions]
+        print()
         print(format_table(
             ["t (s)", "subject", "event", "action", "detail"], rows,
             title="Watchdog recovery actions"))
-        print()
-    print(f"Journal: {run.replayed_units} unit(s) replayed, "
-          f"{run.new_units} freshly committed -> {args.journal}")
-    _print_chaos_outcome(plan, supervisor.cache)
     return 4 if run.design.stopped else 0
 
 
 def cmd_chaos(args) -> int:
     """Run the design problem under a fault plan and summarize survival."""
     obs.reset()
-    plan = _chaos_plan(args)
+    plan = args.fault_plan = _chaos_plan(args)
     print(f"Running a {args.algorithm} design under fault plan "
           f"{plan.name!r} (transient={plan.transient_rate:.0%}, "
           f"outlier={plan.outlier_rate:.0%}, hang={plan.hang_rate:.0%}, "
@@ -572,62 +506,45 @@ def cmd_chaos(args) -> int:
           f"vm-crash={plan.vm_crash_rate:.0%}, "
           f"host-degrade={plan.host_degrade_rate:.0%}) ...", file=sys.stderr)
     if args.journal:
-        return _run_supervised(plan, args, resume=False)
+        return _run_journaled("chaos", args)
     if args.continuous:
         print("error: chaos --continuous requires --journal "
               "(the surrogate fit is journaled)", file=sys.stderr)
         return 2
-    problem = _chaos_problem(args.scale)
-    engine = make_engine(args.workers, args.pool)
-    runner = CalibrationRunner(
-        problem.machine,
-        injector=FaultInjector(plan),
-        retry_policy=RetryPolicy.resilient(),
-        engine=engine,
-    )
-    cache = CalibrationCache(runner)
-    designer = VirtualizationDesigner(problem, OptimizerCostModel(cache))
-    try:
+    problem = _chaos_problem(args)
+    with _engine(args) as engine:
+        cache = CalibrationCache(CalibrationRunner(
+            problem.machine, injector=FaultInjector(plan),
+            retry_policy=RetryPolicy.resilient(), engine=engine))
+        designer = VirtualizationDesigner(problem, OptimizerCostModel(cache))
         design = designer.design(args.algorithm, grid=args.grid,
                                  max_evaluations=args.max_evaluations,
                                  engine=engine)
-    finally:
-        if engine is not None:
-            engine.close()
     print(design.summary())
     print()
     _print_chaos_outcome(plan, cache)
     return 4 if design.stopped else 0
 
 
-def _run_online(plan: FaultPlan, problem, args, resume: bool) -> int:
-    """Drive a journaled closed-loop online run or its resume."""
+def _run_drift(problem, args, resume: bool):
     from repro.drift import OnlineSupervisor
 
     supervisor = OnlineSupervisor(
-        problem, args.journal, plan=plan,
+        problem, args.journal, **_search_kwargs(args),
         epochs=args.epochs, drift_threshold=args.drift_threshold,
-        recal_budget=args.recal_budget,
-        algorithm=args.algorithm, grid=args.grid,
-        fine_factor=args.fine_factor,
-        surrogate_tol=args.surrogate_tol,
-        surrogate_budget=args.surrogate_budget,
-        max_units=args.max_units,
-        extra_meta={"scale": args.scale},
-        workers=args.workers, pool=args.pool)
-    run = supervisor.run(resume=resume)
-    if not run.completed:
-        print(f"Online run stopped after {run.new_units} new unit(s) "
-              f"({run.replayed_units} replayed); journal {args.journal} "
-              f"is resumable with: repro resume {args.journal}")
-        return 4
+        recal_budget=args.recal_budget)
+    return supervisor.run(resume=resume), supervisor.cache
+
+
+def _show_drift(run, args) -> None:
     rows = [[f"{point['epoch']}", f"{point['capacity']:.3f}",
              f"{point['observed_seconds']:.4f}",
              f"{point['drift_events']}", f"{point['refits']}"]
             for point in run.trajectory]
     print(format_table(
         ["epoch", "cpu capacity", "observed (s)", "drift events", "refits"],
-        rows, title=f"Online trajectory — fault plan {plan.name!r}"))
+        rows,
+        title=f"Online trajectory — fault plan {args.fault_plan.name!r}"))
     print()
     print(run.design.summary())
     print()
@@ -637,59 +554,21 @@ def _run_online(plan: FaultPlan, problem, args, resume: bool) -> int:
     print(f"Drift: {len(run.events)} event(s), {run.recalibrations} knot "
           f"refit(s), {run.redesigns} warm re-design(s); "
           f"recalibration budget: {budget}")
-    print(f"Journal: {run.replayed_units} unit(s) replayed, "
-          f"{run.new_units} freshly committed -> {args.journal}")
-    _print_chaos_outcome(plan, supervisor.cache)
-    return 0
 
 
 def cmd_monitor(args) -> int:
     """Run the drift-aware closed loop under a degrading fault plan."""
     obs.reset()
-    plan = _chaos_plan(args)
+    plan = args.fault_plan = _chaos_plan(args)
     print(f"Running an online {args.algorithm} design for {args.epochs} "
           f"epoch(s) under fault plan {plan.name!r} "
           f"(host-degrade={plan.host_degrade_rate:.0%}, "
           f"drift threshold={args.drift_threshold}, "
           f"recal budget={args.recal_budget}) ...", file=sys.stderr)
-    problem = _chaos_problem(args.scale)
-    if args.journal:
-        return _run_online(plan, problem, args, resume=False)
-    # No journal requested: the loop still checkpoints (the supervisor
-    # is journal-driven), just into a throwaway file.
-    with tempfile.TemporaryDirectory(prefix="repro-monitor-") as scratch:
-        args.journal = os.path.join(scratch, "monitor.journal")
-        return _run_online(plan, problem, args, resume=False)
+    return _run_journaled("drift", args)
 
 
-def _resume_drift(args, meta) -> int:
-    """Resume a killed online (drift) run purely from its journal meta."""
-    plan_fields = dict(meta.get("plan") or {})
-    if not plan_fields:
-        raise RecoveryError(
-            f"journal {args.journal} carries no fault plan in its header")
-    plan = FaultPlan(**plan_fields)
-    resources = tuple(ResourceKind(token)
-                      for token in meta.get("controlled", ["cpu"]))
-    args.scale = float(meta.get("scale", 0.002))
-    args.epochs = int(meta.get("epochs", 8))
-    args.drift_threshold = float(meta.get("drift_threshold", 0.15))
-    args.recal_budget = meta.get("recal_budget")
-    args.algorithm = meta.get("algorithm", "greedy")
-    args.grid = int(meta.get("grid", 4))
-    args.fine_factor = int(meta.get("fine_factor", 8))
-    args.surrogate_tol = float(meta.get("surrogate_tol", 0.05))
-    args.surrogate_budget = meta.get("surrogate_budget", 24)
-    _resolve_resume_workers(args, meta)
-    problem = _chaos_problem(args.scale, resources=resources)
-    print(f"Resuming online journal {args.journal} (plan {plan.name!r}, "
-          f"{args.epochs} epoch(s), drift threshold "
-          f"{args.drift_threshold}) ...", file=sys.stderr)
-    return _run_online(plan, problem, args, resume=True)
-
-
-def _print_serve_session(run, plan: FaultPlan) -> None:
-    """Print the serving-session outcome tables."""
+def _show_serve(run, args) -> None:
     stats = run.stats
     rows = [
         ["requests", f"{stats.requests}"],
@@ -704,8 +583,9 @@ def _print_serve_session(run, plan: FaultPlan) -> None:
         ["designs committed", f"{run.design_seq}"],
         ["breaker trips", f"{run.breaker_trips}"],
     ]
-    print(format_table(["measure", "value"], rows,
-                       title=f"Serving session — fault plan {plan.name!r}"))
+    print(format_table(
+        ["measure", "value"], rows,
+        title=f"Serving session — fault plan {args.fault_plan.name!r}"))
     tier_rows = [[tier, f"{count}"]
                  for tier, count in sorted(stats.by_tier.items())]
     if tier_rows:
@@ -718,96 +598,37 @@ def _print_serve_session(run, plan: FaultPlan) -> None:
         print()
         print(format_table(["reason", "rejected"], reason_rows,
                            title="Typed rejections"))
-
-
-def _run_serve(plan: FaultPlan, problem, args, resume: bool,
-               scenario=None, config=None) -> int:
-    """Drive a journaled serving session or its resume."""
-    from repro.serve import ServeConfig, ServeScenario, ServeSupervisor
-
-    if scenario is None:
-        scenario = ServeScenario(
-            seed=args.trace_seed, requests=args.requests, rate=args.rate,
-            tenants=args.tenants, design_every=args.design_every)
-    if config is None:
-        config = ServeConfig(
-            max_queue=args.max_queue, max_batch=args.max_batch,
-            quota_capacity=args.quota_capacity,
-            quota_refill_rate=args.quota_refill)
-    supervisor = ServeSupervisor(
-        problem, args.journal, plan=plan,
-        scenario=scenario, config=config,
-        algorithm=args.algorithm, grid=args.grid,
-        fine_factor=args.fine_factor,
-        surrogate_tol=args.surrogate_tol,
-        surrogate_budget=args.surrogate_budget,
-        max_units=args.max_units,
-        extra_meta={"scale": args.scale},
-        workers=args.workers, pool=args.pool)
-    run = supervisor.run(resume=resume)
-    if not run.completed:
-        print(f"Serving session stopped after {run.new_units} new unit(s) "
-              f"({run.replayed_units} replayed); journal {args.journal} "
-              f"is resumable with: repro resume {args.journal}")
-        return 4
-    _print_serve_session(run, plan)
     print()
     print(run.design.summary())
-    print()
-    print(f"Journal: {run.replayed_units} unit(s) replayed, "
-          f"{run.new_units} freshly committed -> {args.journal}")
-    _print_chaos_outcome(plan, supervisor.cache)
-    return 0
+
+
+def _run_serve(problem, args, resume: bool):
+    from repro.serve import ServeSupervisor
+
+    supervisor = ServeSupervisor(
+        problem, args.journal, **_search_kwargs(args),
+        scenario=args.scenario, config=args.serve_config)
+    return supervisor.run(resume=resume), supervisor.cache
 
 
 def cmd_serve(args) -> int:
     """Run one deterministic session of the always-on design service."""
+    from repro.serve import ServeConfig, ServeScenario
+
     obs.reset()
-    plan = _chaos_plan(args)
+    plan = args.fault_plan = _chaos_plan(args)
     print(f"Serving a {args.requests}-request open-loop trace at "
           f"{args.rate:g} req/s ({args.tenants} tenant(s), a design "
           f"request every {args.design_every}) under fault plan "
           f"{plan.name!r} ...", file=sys.stderr)
-    problem = _chaos_problem(args.scale)
-    if args.journal:
-        return _run_serve(plan, problem, args, resume=False)
-    # No journal requested: the service still checkpoints (the
-    # supervisor is journal-driven), just into a throwaway file.
-    with tempfile.TemporaryDirectory(prefix="repro-serve-") as scratch:
-        args.journal = os.path.join(scratch, "serve.journal")
-        return _run_serve(plan, problem, args, resume=False)
-
-
-def _resume_serve(args, meta) -> int:
-    """Resume a killed serving session purely from its journal meta."""
-    from repro.serve import ServeConfig, ServeScenario
-
-    plan_fields = dict(meta.get("plan") or {})
-    if not plan_fields:
-        raise RecoveryError(
-            f"journal {args.journal} carries no fault plan in its header")
-    plan = FaultPlan(**plan_fields)
-    scenario = ServeScenario.from_dict(dict(meta["scenario"]))
-    config = ServeConfig.from_dict(dict(meta["config"]))
-    resources = tuple(ResourceKind(token)
-                      for token in meta.get("controlled", ["cpu"]))
-    args.scale = float(meta.get("scale", 0.002))
-    args.requests = scenario.requests
-    args.rate = scenario.rate
-    args.tenants = scenario.tenants
-    args.design_every = scenario.design_every
-    args.algorithm = meta.get("algorithm", "greedy")
-    args.grid = int(meta.get("grid", 4))
-    args.fine_factor = int(meta.get("fine_factor", 8))
-    args.surrogate_tol = float(meta.get("surrogate_tol", 0.05))
-    args.surrogate_budget = meta.get("surrogate_budget", 24)
-    _resolve_resume_workers(args, meta)
-    problem = _chaos_problem(args.scale, resources=resources)
-    print(f"Resuming serve journal {args.journal} (plan {plan.name!r}, "
-          f"{scenario.requests} request(s) at {scenario.rate:g} req/s) "
-          f"...", file=sys.stderr)
-    return _run_serve(plan, problem, args, resume=True,
-                      scenario=scenario, config=config)
+    args.scenario = ServeScenario(
+        seed=args.trace_seed, requests=args.requests, rate=args.rate,
+        tenants=args.tenants, design_every=args.design_every)
+    args.serve_config = ServeConfig(
+        max_queue=args.max_queue, max_batch=args.max_batch,
+        quota_capacity=args.quota_capacity,
+        quota_refill_rate=args.quota_refill)
+    return _run_journaled("serve", args)
 
 
 def _print_fleet_design(design, baseline_cost=None) -> None:
@@ -834,50 +655,39 @@ def _print_fleet_design(design, baseline_cost=None) -> None:
     print(format_table(["measure", "value"], rows, title="Fleet placement"))
 
 
-def _run_fleet_supervised(problem, scenario, args, resume: bool) -> int:
-    """Drive a journaled (crash-recoverable) fleet run or its resume."""
+def _fleet_problem(args):
+    from repro.fleet import synthetic_fleet
+
+    return synthetic_fleet(args.hosts, args.workloads, seed=args.seed,
+                           grid=args.grid)
+
+
+def _run_fleet(problem, args, resume: bool):
     from repro.fleet import FleetSupervisor
 
-    engine = make_engine(args.workers, args.pool)
-    try:
+    with _engine(args) as engine:
         supervisor = FleetSupervisor(
-            problem, args.journal, scenario=scenario,
+            problem, args.journal,
+            scenario={"n_hosts": args.hosts, "n_workloads": args.workloads,
+                      "seed": args.seed, "grid": args.grid},
             clusters=args.clusters or None, algorithm=args.algorithm,
             max_rounds=args.rounds, max_units=args.max_units,
             engine=engine,
             extra_meta={"workers": args.workers, "pool": args.pool})
-        run = supervisor.run(resume=resume)
-    finally:
-        if engine is not None:
-            engine.close()
-    if not run.completed:
-        print(f"Fleet run stopped after {run.new_units} new host "
-              f"design(s) ({run.replayed_units} replayed); journal "
-              f"{args.journal} is resumable with: repro resume "
-              f"{args.journal}")
-        return 4
-    _print_fleet_design(run.design)
-    print()
-    print(f"Journal: {run.replayed_units} unit(s) replayed, "
-          f"{run.new_units} freshly committed -> {args.journal}")
-    return 0
+        return supervisor.run(resume=resume), None
 
 
 def cmd_fleet(args) -> int:
     """Place a synthetic fleet: cluster, tune per host, reroute."""
-    from repro.fleet import FleetDesigner, round_robin_assignment, synthetic_fleet
+    from repro.fleet import FleetDesigner, round_robin_assignment
 
     obs.reset()
-    problem = synthetic_fleet(args.hosts, args.workloads, seed=args.seed,
-                              grid=args.grid)
-    scenario = {"n_hosts": args.hosts, "n_workloads": args.workloads,
-                "seed": args.seed, "grid": args.grid}
+    problem = _fleet_problem(args)
     print(f"Placing {args.workloads} workload(s) on {args.hosts} host(s) "
           f"(seed {args.seed}, grid {args.grid}) ...", file=sys.stderr)
     if args.journal:
-        return _run_fleet_supervised(problem, scenario, args, resume=False)
-    engine = make_engine(args.workers, args.pool)
-    try:
+        return _run_journaled("fleet", args, problem=problem)
+    with _engine(args) as engine:
         designer = FleetDesigner(
             problem, clusters=args.clusters or None,
             algorithm=args.algorithm, engine=engine,
@@ -887,35 +697,8 @@ def cmd_fleet(args) -> int:
         if args.baseline:
             baseline_cost, _designs = designer.evaluate_assignment(
                 round_robin_assignment(problem))
-    finally:
-        if engine is not None:
-            engine.close()
     _print_fleet_design(design, baseline_cost)
     return 0
-
-
-def _resume_fleet(args, meta) -> int:
-    """Resume a killed fleet run purely from its journal meta."""
-    from repro.fleet import synthetic_fleet
-
-    scenario = meta.get("scenario")
-    if not scenario:
-        raise RecoveryError(
-            f"journal {args.journal} carries no fleet scenario in its "
-            f"header; only scenario-built fleet runs are CLI-resumable")
-    problem = synthetic_fleet(
-        n_hosts=int(scenario["n_hosts"]),
-        n_workloads=int(scenario["n_workloads"]),
-        seed=int(scenario["seed"]), grid=int(scenario["grid"]))
-    args.clusters = meta.get("clusters")
-    args.algorithm = meta.get("algorithm", "greedy")
-    args.rounds = int(meta.get("max_rounds", 8))
-    _resolve_resume_workers(args, meta)
-    print(f"Resuming fleet journal {args.journal} "
-          f"({scenario['n_hosts']} host(s), "
-          f"{scenario['n_workloads']} workload(s), "
-          f"{args.algorithm}) ...", file=sys.stderr)
-    return _run_fleet_supervised(problem, dict(scenario), args, resume=True)
 
 
 def cmd_profile(args) -> int:
@@ -939,7 +722,7 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _resolve_resume_workers(args, meta) -> None:
+def _follow_journal_workers(args, meta) -> None:
     """Honor the journal's worker count, warning when a flag disagrees.
 
     The journal records the original run's execution shape, and the
@@ -959,63 +742,148 @@ def _resolve_resume_workers(args, meta) -> None:
     args.workers = journaled
 
 
-def _resume_codesign(args, meta) -> int:
-    """Resume a killed co-tuning run purely from its journal meta."""
-    scenario = meta.get("scenario")
-    if not scenario:
-        raise RecoveryError(
-            f"journal {args.journal} carries no co-tuning scenario in its "
-            f"header; only scenario-built co-tuning runs are CLI-resumable")
-    resources = tuple(ResourceKind(token)
-                      for token in meta.get("controlled", ["cpu"]))
-    args.scale = float(scenario["scale"])
-    args.storage_budget = int(meta["storage_budget"])
-    args.algorithm = meta.get("algorithm", "greedy")
-    args.grid = int(meta.get("grid", 4))
-    args.max_rounds = int(meta.get("max_rounds", 6))
-    _resolve_resume_workers(args, meta)
-    problem = _codesign_problem(args.scale, resources=resources)
-    print(f"Resuming co-tuning journal {args.journal} "
-          f"(storage budget {args.storage_budget} page(s)/VM, "
-          f"{args.algorithm}, grid {args.grid}) ...", file=sys.stderr)
-    return _run_codesign(problem, args, resume=True)
-
-
-def cmd_resume(args) -> int:
-    """Resume a killed chaos, fleet, online (drift), serve, or
-    co-tuning run."""
-    from repro.recovery import read_journal
-
-    obs.reset()
-    meta, _records, _tail = read_journal(args.journal)
-    if meta.get("run_kind") == "codesign":
-        return _resume_codesign(args, meta)
-    if meta.get("run_kind") == "fleet":
-        return _resume_fleet(args, meta)
-    if meta.get("run_kind") == "drift":
-        return _resume_drift(args, meta)
-    if meta.get("run_kind") == "serve":
-        return _resume_serve(args, meta)
+def _search_from_meta(args, meta) -> None:
+    """Journal header → the arguments chaos, monitor and serve share."""
     plan_fields = dict(meta.get("plan") or {})
     if not plan_fields:
         raise RecoveryError(
             f"journal {args.journal} carries no fault plan in its header")
-    plan = FaultPlan(**plan_fields)
-    # Rebuild the run from the journal's own identity; CLI flags are
-    # not consulted so a resumed run cannot drift from the original.
+    args.fault_plan = FaultPlan(**plan_fields)
     args.scale = float(meta.get("scale", 0.002))
-    args.algorithm = meta.get("algorithm", "greedy")
-    args.grid = int(meta.get("grid", 4))
-    args.watchdog_probes = int(meta.get("watchdog_probes", 0))
-    args.max_evaluations = None
-    args.continuous = bool(meta.get("continuous", False))
     args.fine_factor = int(meta.get("fine_factor", 8))
     args.surrogate_tol = float(meta.get("surrogate_tol", 0.05))
     args.surrogate_budget = meta.get("surrogate_budget", 24)
-    _resolve_resume_workers(args, meta)
-    print(f"Resuming {args.journal} (plan {plan.name!r}, "
-          f"{args.algorithm}, grid {args.grid}) ...", file=sys.stderr)
-    return _run_supervised(plan, args, resume=True)
+
+
+def _chaos_from_meta(args, meta) -> None:
+    _search_from_meta(args, meta)
+    args.watchdog_probes = int(meta.get("watchdog_probes", 0))
+    args.max_evaluations = None
+    args.continuous = bool(meta.get("continuous", False))
+
+
+def _drift_from_meta(args, meta) -> None:
+    _search_from_meta(args, meta)
+    args.epochs = int(meta.get("epochs", 8))
+    args.drift_threshold = float(meta.get("drift_threshold", 0.15))
+    args.recal_budget = meta.get("recal_budget")
+
+
+def _serve_from_meta(args, meta) -> None:
+    from repro.serve import ServeConfig, ServeScenario
+
+    _search_from_meta(args, meta)
+    args.scenario = ServeScenario.from_dict(dict(meta["scenario"]))
+    args.serve_config = ServeConfig.from_dict(dict(meta["config"]))
+
+
+def _scenario_of(args, meta, what: str) -> dict:
+    scenario = meta.get("scenario")
+    if not scenario:
+        raise RecoveryError(
+            f"journal {args.journal} carries no {what} scenario in its "
+            f"header; only scenario-built {what} runs are CLI-resumable")
+    return scenario
+
+
+def _codesign_from_meta(args, meta) -> None:
+    args.scale = float(_scenario_of(args, meta, "co-tuning")["scale"])
+    args.storage_budget = int(meta["storage_budget"])
+    args.max_rounds = int(meta.get("max_rounds", 6))
+
+
+def _fleet_from_meta(args, meta) -> None:
+    scenario = _scenario_of(args, meta, "fleet")
+    args.hosts = int(scenario["n_hosts"])
+    args.workloads = int(scenario["n_workloads"])
+    args.seed = int(scenario["seed"])
+    args.clusters = meta.get("clusters")
+    args.rounds = int(meta.get("max_rounds", 8))
+
+
+class _RunKind(NamedTuple):
+    """How the CLI runs, resumes and reports one journaled run kind."""
+
+    #: What the run is called in messages.
+    label: str
+    #: ``(args, meta)``: rebuild the arguments from a journal header.
+    from_meta: Callable
+    #: ``(args) -> problem``.
+    problem: Callable
+    #: ``(problem, args, resume) -> (run, calibration cache or None)``.
+    run: Callable
+    #: ``(run, args)``: print a completed run's outcome; may return a
+    #: non-zero exit code (a budget-stopped search) when it calls for one.
+    show: Callable
+
+
+#: Journal ``run_kind`` → its CLI adapter. Headers written before run
+#: kinds existed (PR 3) carry none: they are supervised chaos runs.
+RUN_KINDS = {
+    "chaos": _RunKind("Run", _chaos_from_meta, _chaos_problem,
+                      _run_chaos, _show_chaos),
+    "codesign": _RunKind("Co-tuning run", _codesign_from_meta,
+                         _codesign_problem, _run_codesign, _show_codesign),
+    "drift": _RunKind("Online run", _drift_from_meta, _chaos_problem,
+                      _run_drift, _show_drift),
+    "serve": _RunKind("Serving session", _serve_from_meta, _chaos_problem,
+                      _run_serve, _show_serve),
+    "fleet": _RunKind("Fleet run", _fleet_from_meta, _fleet_problem,
+                      _run_fleet,
+                      lambda run, args: _print_fleet_design(run.design)),
+}
+
+
+def _run_journaled(kind: str, args, problem=None, resume: bool = False) -> int:
+    """Drive (or resume) one journaled run of *kind* and report it.
+
+    Supervisors are journal-driven, so a run without ``--journal``
+    still checkpoints — into a throwaway file.
+    """
+    spec = RUN_KINDS[kind]
+    with contextlib.ExitStack() as stack:
+        if not args.journal:
+            scratch = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix=f"repro-{kind}-"))
+            args.journal = os.path.join(scratch, f"{kind}.journal")
+        if problem is None:
+            problem = spec.problem(args)
+        run, cache = spec.run(problem, args, resume)
+        if not run.completed:
+            print(f"{spec.label} stopped after {run.new_units} new unit(s) "
+                  f"({run.replayed_units} replayed); journal {args.journal} "
+                  f"is resumable with: repro resume {args.journal}")
+            return 4
+        code = spec.show(run, args) or 0
+        print(f"\nJournal: {run.replayed_units} unit(s) replayed, "
+              f"{run.new_units} freshly committed -> {args.journal}")
+        if cache is not None:
+            _print_chaos_outcome(args.fault_plan, cache)
+        return code
+
+
+def cmd_resume(args) -> int:
+    """Resume a killed journaled run of any kind in :data:`RUN_KINDS`."""
+    obs.reset()
+    meta, _records, _tail = read_journal(args.journal)
+    kind = meta.get("run_kind", "chaos")
+    if kind not in RUN_KINDS:
+        raise RecoveryError(
+            f"journal {args.journal} records run kind {kind!r}, which "
+            f"'repro resume' cannot resume (known kinds: "
+            f"{', '.join(sorted(RUN_KINDS))})")
+    # Rebuild the run from the journal's own identity; CLI flags are
+    # not consulted so a resumed run cannot drift from the original.
+    # Every kind's header carries the search; the rest is the kind's.
+    args.algorithm = meta.get("algorithm", "greedy")
+    args.grid = int(meta.get("grid", 4))
+    args.controlled = tuple(ResourceKind(token)
+                            for token in meta.get("controlled", ["cpu"]))
+    RUN_KINDS[kind].from_meta(args, meta)
+    _follow_journal_workers(args, meta)
+    print(f"Resuming {RUN_KINDS[kind].label.lower()} from journal "
+          f"{args.journal} ...", file=sys.stderr)
+    return _run_journaled(kind, args, resume=True)
 
 
 def _emit_stats(args) -> None:
@@ -1034,6 +902,43 @@ def _emit_stats(args) -> None:
         print(f"Wrote run report to {stats_json}", file=sys.stderr)
 
 
+ALGORITHMS = ["exhaustive", "greedy", "dynamic-programming"]
+
+
+# The two factories below build a *fresh* parent per subcommand instead
+# of one shared parent plus ``set_defaults``: argparse hands a parent's
+# Action objects to every child, so a default set through one child
+# would silently become every other child's default.
+
+def _search_parent(grid: int, algorithm: str,
+                   scale: Optional[float] = None) -> argparse.ArgumentParser:
+    """``[--scale] --grid --algorithm`` with one subcommand's defaults."""
+    parent = argparse.ArgumentParser(add_help=False)
+    if scale is not None:
+        parent.add_argument("--scale", type=float, default=scale,
+                            help=f"TPC-H scale factor (default {scale})")
+    parent.add_argument("--grid", type=int, default=grid,
+                        help=f"search discretization (default {grid})")
+    parent.add_argument("--algorithm", default=algorithm, choices=ALGORITHMS,
+                        help=f"allocation search (default {algorithm})")
+    return parent
+
+
+def _plan_parent(plan: str, overrides) -> argparse.ArgumentParser:
+    """``--plan``, ``--seed`` and one override flag per name in
+    *overrides* (a subset of :data:`PLAN_OVERRIDES`)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--plan", default=plan, choices=sorted(NAMED_PLANS),
+                        help=f"named fault plan (default {plan})")
+    for name in overrides:
+        parent.add_argument(
+            "--" + name.replace("_", "-"), type=float, default=None,
+            help=f"override the plan's {name.replace('_', ' ')}")
+    parent.add_argument("--seed", type=int, default=None,
+                        help="override the plan's fault seed")
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1050,6 +955,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats-json", metavar="PATH",
         help="also write the run report as JSON to PATH")
 
+    # Shared by the cache-reading subcommands, and by those that take
+    # one allocation on the command line.
+    load_parent = argparse.ArgumentParser(add_help=False)
+    load_parent.add_argument("--load",
+                             help="preload a saved calibration cache")
+    share_parent = argparse.ArgumentParser(add_help=False)
+    for flag, noun in (("--cpu", "CPU"), ("--memory", "memory"),
+                       ("--io", "I/O")):
+        share_parent.add_argument(
+            flag, type=float, default=0.5,
+            help=f"{noun} share in [0, 1] (default 0.5)")
+
     # Shared by the evaluation-heavy subcommands: parallel fan-out.
     parallel_parent = argparse.ArgumentParser(add_help=False)
     parallel_parent.add_argument(
@@ -1061,28 +978,62 @@ def build_parser() -> argparse.ArgumentParser:
         "--pool", default="thread", choices=list(POOL_KINDS),
         help="worker pool kind for --workers (default thread)")
 
+    # Shared by the journaled subcommands: checkpointing and the kill.
+    journal_parent = argparse.ArgumentParser(add_help=False)
+    journal_parent.add_argument(
+        "--journal", default=None, metavar="PATH",
+        help="checkpoint every completed unit of work to a journal at "
+             "PATH (the run becomes crash-recoverable; see 'repro resume')")
+    journal_parent.add_argument(
+        "--max-units", type=int, default=None,
+        help="simulate a crash after N newly journaled units "
+             "(journaled runs only)")
+
+    # Shared by the continuous-mode subcommands: the surrogate fit.
+    surrogate_parent = argparse.ArgumentParser(add_help=False)
+    surrogate_parent.add_argument(
+        "--surrogate-tol", type=float, default=0.05, metavar="TOL",
+        help="cross-validated interpolation error tolerance driving "
+             "adaptive surrogate refinement (default 0.05)")
+    surrogate_parent.add_argument(
+        "--surrogate-budget", type=int, default=24, metavar="N",
+        help="cap on calibration requests the surrogate fit may spend "
+             "(default 24)")
+    surrogate_parent.add_argument(
+        "--fine-factor", type=int, default=8, metavar="F",
+        help="continuous-search resolution multiplier: allocations are "
+             "explored down to steps of 1/(grid*F) (default 8)")
+
+    # Shared by the closed-loop subcommands: the drift loop's knobs.
+    drift_parent = argparse.ArgumentParser(add_help=False)
+    drift_parent.add_argument(
+        "--epochs", type=int, default=8, metavar="N",
+        help="epochs of the observe-detect-repair loop (default 8)")
+    drift_parent.add_argument(
+        "--drift-threshold", type=float, default=0.15, metavar="LAMBDA",
+        help="Page–Hinkley detection threshold in log-residual units "
+             "(default 0.15)")
+    drift_parent.add_argument(
+        "--recal-budget", type=int, default=12, metavar="N",
+        help="calibration-request budget for drift repairs (replays "
+             "included; default 12)")
+
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     calibrate = subparsers.add_parser(
-        "calibrate", parents=[stats_parent],
+        "calibrate", parents=[stats_parent, share_parent, load_parent],
         help="calibrate optimizer parameters for an allocation",
         epilog="Documentation: docs/cost-model.md")
-    _add_share_arguments(calibrate)
     calibrate.add_argument("--save", help="write the calibration cache to a JSON file")
-    calibrate.add_argument("--load", help="preload a saved calibration cache")
     calibrate.set_defaults(func=cmd_calibrate)
 
     design = subparsers.add_parser(
-        "design", parents=[stats_parent, parallel_parent],
+        "design", parents=[stats_parent, parallel_parent, load_parent,
+                           _search_parent(4, "exhaustive", scale=0.01),
+                           surrogate_parent, drift_parent, journal_parent],
         help="solve the paper's two-workload design problem",
         epilog="Documentation: docs/cost-model.md, docs/surrogate.md "
                "(--continuous), docs/parallelism.md (--workers)")
-    design.add_argument("--scale", type=float, default=0.01,
-                        help="TPC-H scale factor (default 0.01)")
-    design.add_argument("--grid", type=int, default=4,
-                        help="search discretization (default 4)")
-    design.add_argument("--algorithm", default="exhaustive",
-                        choices=["exhaustive", "greedy", "dynamic-programming"])
     design.add_argument("--resources", default="cpu",
                         help="comma list of controlled resources "
                              "(cpu,memory,io; default cpu)")
@@ -1092,35 +1043,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="search continuous allocations through a fitted "
                              "calibration surrogate instead of the coarse "
                              "grid (see docs/surrogate.md)")
-    design.add_argument("--surrogate-tol", type=float, default=0.05,
-                        metavar="TOL",
-                        help="cross-validated interpolation error tolerance "
-                             "driving adaptive surrogate refinement "
-                             "(default 0.05)")
-    design.add_argument("--surrogate-budget", type=int, default=24,
-                        metavar="N",
-                        help="cap on fresh calibrations the surrogate fit "
-                             "may spend (default 24)")
-    design.add_argument("--fine-factor", type=int, default=8, metavar="F",
-                        help="continuous-search resolution multiplier: "
-                             "allocations are explored down to steps of "
-                             "1/(grid*F) (default 8)")
     design.add_argument("--online", action="store_true",
                         help="run the drift-aware closed loop under the "
                              "default turbulent fault plan: observe, detect "
                              "stale cost models, recalibrate on budget, "
                              "warm-restart the search (see docs/drift.md; "
-                             "'repro monitor' exposes every knob)")
-    design.add_argument("--epochs", type=int, default=8, metavar="N",
-                        help="--online: epochs of the observe-detect-repair "
-                             "loop (default 8)")
-    design.add_argument("--drift-threshold", type=float, default=0.15,
-                        metavar="LAMBDA",
-                        help="--online: Page–Hinkley detection threshold in "
-                             "log-residual units (default 0.15)")
-    design.add_argument("--recal-budget", type=int, default=12, metavar="N",
-                        help="--online: calibration-request budget for "
-                             "drift repairs (default 12)")
+                             "'repro monitor' exposes every knob), tuned by "
+                             "--epochs/--drift-threshold/--recal-budget")
     design.add_argument("--co-tune", action="store_true",
                         help="jointly tune per-VM index configurations and "
                              "the allocation: Extend-style greedy index "
@@ -1134,180 +1063,75 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--max-rounds", type=int, default=6, metavar="N",
                         help="--co-tune: cap on selection/search alternation "
                              "rounds (default 6)")
-    design.add_argument("--journal", default=None, metavar="PATH",
-                        help="--co-tune: checkpoint every calibration and "
-                             "what-if evaluation to a journal at PATH (the "
-                             "run becomes crash-recoverable; see "
-                             "'repro resume')")
-    design.add_argument("--max-units", type=int, default=None,
-                        help="--co-tune: simulate a crash after N newly "
-                             "journaled units (journaled runs only)")
-    design.add_argument("--load", help="preload a saved calibration cache")
     design.add_argument("--save", help="write the calibration cache (and any "
                                        "surrogate fit) to a JSON file")
     design.set_defaults(func=cmd_design)
 
     explain = subparsers.add_parser(
-        "explain", parents=[stats_parent],
+        "explain", parents=[stats_parent, share_parent, load_parent],
         help="what-if EXPLAIN of a TPC-H query under an allocation",
         epilog="Documentation: docs/cost-model.md")
     explain.add_argument("--query", default="Q4", help="query name (e.g. Q13)")
     explain.add_argument("--scale", type=float, default=0.01)
-    _add_share_arguments(explain)
-    explain.add_argument("--load", help="preload a saved calibration cache")
     explain.set_defaults(func=cmd_explain)
 
     experiment = subparsers.add_parser(
-        "experiment", parents=[stats_parent],
+        "experiment", parents=[stats_parent, load_parent],
         help="regenerate one of the paper's figures",
         epilog="Documentation: EXPERIMENTS.md")
     experiment.add_argument("name", choices=["fig3", "fig4", "fig5"])
-    experiment.add_argument("--load", help="preload a saved calibration cache")
     experiment.set_defaults(func=cmd_experiment)
 
     report = subparsers.add_parser(
-        "report",
+        "report", parents=[load_parent,
+                           _search_parent(4, "greedy", scale=0.002)],
         help="run a small design end to end and print its run report",
         epilog="Documentation: docs/observability.md")
     report.add_argument("--json", action="store_true",
                         help="emit the report as JSON instead of tables")
-    report.add_argument("--scale", type=float, default=0.002,
-                        help="TPC-H scale factor for the demo run "
-                             "(default 0.002)")
-    report.add_argument("--grid", type=int, default=4,
-                        help="search discretization (default 4)")
-    report.add_argument("--algorithm", default="greedy",
-                        choices=["exhaustive", "greedy", "dynamic-programming"])
-    report.add_argument("--load", help="preload a saved calibration cache")
     report.set_defaults(func=cmd_report)
 
     chaos = subparsers.add_parser(
-        "chaos", parents=[stats_parent, parallel_parent],
+        "chaos", parents=[
+            stats_parent, parallel_parent,
+            _plan_parent("noisy", [name for name in PLAN_OVERRIDES
+                                   if name != "host_degrade_factor"]),
+            _search_parent(4, "greedy", scale=0.002),
+            surrogate_parent, journal_parent],
         help="run a design under a fault plan and print a resilience summary",
         epilog="Documentation: docs/robustness.md")
-    chaos.add_argument("--plan", default="noisy", choices=sorted(NAMED_PLANS),
-                       help="named fault plan (default noisy)")
-    chaos.add_argument("--transient-rate", type=float, default=None,
-                       help="override the plan's transient failure rate")
-    chaos.add_argument("--outlier-rate", type=float, default=None,
-                       help="override the plan's outlier rate")
-    chaos.add_argument("--hang-rate", type=float, default=None,
-                       help="override the plan's hang rate")
-    chaos.add_argument("--boot-failure-rate", type=float, default=None,
-                       help="override the plan's VM boot failure rate")
-    chaos.add_argument("--vm-crash-rate", type=float, default=None,
-                       help="override the plan's VM crash (watchdog) rate")
-    chaos.add_argument("--host-degrade-rate", type=float, default=None,
-                       help="override the plan's host degradation rate")
-    chaos.add_argument("--migration-failure-rate", type=float, default=None,
-                       help="override the plan's migration failure rate")
-    chaos.add_argument("--seed", type=int, default=None,
-                       help="override the plan's fault seed")
-    chaos.add_argument("--scale", type=float, default=0.002,
-                       help="TPC-H scale factor (default 0.002)")
-    chaos.add_argument("--grid", type=int, default=4,
-                       help="search discretization (default 4)")
-    chaos.add_argument("--algorithm", default="greedy",
-                       choices=["exhaustive", "greedy", "dynamic-programming"])
     chaos.add_argument("--max-evaluations", type=int, default=None,
                        help="stop the search after this many cost evaluations")
-    chaos.add_argument("--journal", default=None, metavar="PATH",
-                       help="checkpoint completed units to a journal at PATH "
-                            "(the run becomes crash-recoverable; see "
-                            "'repro resume')")
     chaos.add_argument("--watchdog-probes", type=int, default=0,
                        help="watchdog probes over the deployed design "
                             "(journaled runs only; default 0)")
-    chaos.add_argument("--max-units", type=int, default=None,
-                       help="simulate a crash after N newly journaled units "
-                            "(journaled runs only)")
     chaos.add_argument("--continuous", action="store_true",
                        help="journaled runs only: fit a calibration "
                             "surrogate (crash-recoverably) and search "
                             "continuous allocations against it")
-    chaos.add_argument("--surrogate-tol", type=float, default=0.05,
-                       metavar="TOL",
-                       help="surrogate refinement tolerance "
-                            "(--continuous; default 0.05)")
-    chaos.add_argument("--surrogate-budget", type=int, default=24,
-                       metavar="N",
-                       help="surrogate calibration-request budget "
-                            "(--continuous; default 24)")
-    chaos.add_argument("--fine-factor", type=int, default=8, metavar="F",
-                       help="continuous-search resolution multiplier "
-                            "(--continuous; default 8)")
     chaos.set_defaults(func=cmd_chaos)
 
     monitor = subparsers.add_parser(
-        "monitor", parents=[stats_parent, parallel_parent],
+        "monitor", parents=[
+            stats_parent, parallel_parent,
+            _plan_parent("turbulent", ["transient_rate", "host_degrade_rate",
+                                       "host_degrade_factor"]),
+            _search_parent(4, "greedy", scale=0.002),
+            surrogate_parent, drift_parent, journal_parent],
         help="run the drift-aware closed loop: observe, detect stale "
              "cost models, recalibrate on budget, warm-restart the search",
         epilog="Documentation: docs/drift.md")
-    monitor.add_argument("--plan", default="turbulent",
-                         choices=sorted(NAMED_PLANS),
-                         help="named fault plan degrading the host "
-                              "(default turbulent)")
-    monitor.add_argument("--transient-rate", type=float, default=None,
-                         help="override the plan's transient failure rate")
-    monitor.add_argument("--host-degrade-rate", type=float, default=None,
-                         help="override the plan's per-epoch host "
-                              "degradation rate")
-    monitor.add_argument("--host-degrade-factor", type=float, default=None,
-                         help="override the plan's degradation severity "
-                              "(surviving CPU fraction per event)")
-    monitor.add_argument("--seed", type=int, default=None,
-                         help="override the plan's fault seed")
-    monitor.add_argument("--scale", type=float, default=0.002,
-                         help="TPC-H scale factor (default 0.002)")
-    monitor.add_argument("--epochs", type=int, default=8, metavar="N",
-                         help="epochs of the observe-detect-repair loop "
-                              "(default 8)")
-    monitor.add_argument("--drift-threshold", type=float, default=0.15,
-                         metavar="LAMBDA",
-                         help="Page–Hinkley detection threshold in "
-                              "log-residual units (default 0.15)")
-    monitor.add_argument("--recal-budget", type=int, default=12, metavar="N",
-                         help="calibration-request budget for drift repairs "
-                              "(replays included; default 12)")
-    monitor.add_argument("--grid", type=int, default=4,
-                         help="search discretization (default 4)")
-    monitor.add_argument("--algorithm", default="greedy",
-                         choices=["exhaustive", "greedy",
-                                  "dynamic-programming"])
-    monitor.add_argument("--fine-factor", type=int, default=8, metavar="F",
-                         help="continuous-search resolution multiplier "
-                              "(default 8)")
-    monitor.add_argument("--surrogate-tol", type=float, default=0.05,
-                         metavar="TOL",
-                         help="surrogate refinement tolerance for the "
-                              "initial fit (default 0.05)")
-    monitor.add_argument("--surrogate-budget", type=int, default=24,
-                         metavar="N",
-                         help="calibration-request budget for the initial "
-                              "fit (default 24)")
-    monitor.add_argument("--journal", default=None, metavar="PATH",
-                         help="checkpoint every observation, drift event, "
-                              "recalibration and redesign to a journal at "
-                              "PATH (the run becomes crash-recoverable; "
-                              "see 'repro resume')")
-    monitor.add_argument("--max-units", type=int, default=None,
-                         help="simulate a crash after N newly journaled "
-                              "units (journaled runs only)")
     monitor.set_defaults(func=cmd_monitor)
 
     serve = subparsers.add_parser(
-        "serve", parents=[stats_parent, parallel_parent],
+        "serve", parents=[
+            stats_parent, parallel_parent,
+            _plan_parent("flaky", ["transient_rate"]),
+            _search_parent(4, "greedy", scale=0.002),
+            surrogate_parent, journal_parent],
         help="run the always-on design service: admission control, "
              "deadlines, graceful degradation over a seeded request trace",
         epilog="Documentation: docs/serve.md")
-    serve.add_argument("--plan", default="flaky",
-                       choices=sorted(NAMED_PLANS),
-                       help="named fault plan hitting the calibration "
-                            "backend (default flaky)")
-    serve.add_argument("--transient-rate", type=float, default=None,
-                       help="override the plan's transient failure rate")
-    serve.add_argument("--seed", type=int, default=None,
-                       help="override the plan's fault seed")
     serve.add_argument("--trace-seed", type=int, default=7,
                        help="request-trace seed (default 7)")
     serve.add_argument("--requests", type=int, default=120, metavar="N",
@@ -1330,36 +1154,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--quota-refill", type=float, default=4.0,
                        help="per-tenant token refill rate per simulated "
                             "second (default 4)")
-    serve.add_argument("--scale", type=float, default=0.002,
-                       help="TPC-H scale factor (default 0.002)")
-    serve.add_argument("--grid", type=int, default=4,
-                       help="search discretization (default 4)")
-    serve.add_argument("--algorithm", default="greedy",
-                       choices=["exhaustive", "greedy",
-                                "dynamic-programming"])
-    serve.add_argument("--fine-factor", type=int, default=8, metavar="F",
-                       help="continuous-search resolution multiplier "
-                            "(default 8)")
-    serve.add_argument("--surrogate-tol", type=float, default=0.05,
-                       metavar="TOL",
-                       help="surrogate refinement tolerance for the boot "
-                            "fit (default 0.05)")
-    serve.add_argument("--surrogate-budget", type=int, default=24,
-                       metavar="N",
-                       help="calibration-request budget for the boot fit "
-                            "(default 24)")
-    serve.add_argument("--journal", default=None, metavar="PATH",
-                       help="checkpoint every calibration, knot refresh "
-                            "and committed incumbent to a journal at PATH "
-                            "(the session becomes crash-recoverable; see "
-                            "'repro resume')")
-    serve.add_argument("--max-units", type=int, default=None,
-                       help="simulate a crash after N newly journaled "
-                            "units (journaled runs only)")
     serve.set_defaults(func=cmd_serve)
 
     fleet = subparsers.add_parser(
-        "fleet", parents=[stats_parent, parallel_parent],
+        "fleet", parents=[stats_parent, parallel_parent,
+                          _search_parent(16, "greedy"), journal_parent],
         help="place a synthetic fleet: cluster workloads, tune every "
              "host, reroute until total cost converges",
         epilog="Documentation: docs/fleet.md")
@@ -1371,27 +1170,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 60)")
     fleet.add_argument("--seed", type=int, default=7,
                        help="scenario seed (default 7)")
-    fleet.add_argument("--grid", type=int, default=16,
-                       help="per-host share-grid resolution (default 16)")
     fleet.add_argument("--clusters", type=int, default=0, metavar="K",
                        help="number of workload shape clusters "
                             "(0 = auto, about sqrt(workloads/2))")
-    fleet.add_argument("--algorithm", default="greedy",
-                       choices=["exhaustive", "greedy",
-                                "dynamic-programming"],
-                       help="per-host allocation search (default greedy)")
     fleet.add_argument("--rounds", type=int, default=8,
                        help="max reassignment rounds (default 8)")
     fleet.add_argument("--baseline", action="store_true",
                        help="also price a round-robin placement for "
                             "comparison")
-    fleet.add_argument("--journal", default=None, metavar="PATH",
-                       help="checkpoint completed host designs to a "
-                            "journal at PATH (the run becomes "
-                            "crash-recoverable; see 'repro resume')")
-    fleet.add_argument("--max-units", type=int, default=None,
-                       help="simulate a crash after N newly journaled "
-                            "host designs (journaled runs only)")
     fleet.set_defaults(func=cmd_fleet)
 
     resume = subparsers.add_parser(
@@ -1402,12 +1188,9 @@ def build_parser() -> argparse.ArgumentParser:
                "docs/fleet.md (fleet runs), docs/drift.md (online runs), "
                "docs/serve.md (serving sessions), docs/codesign.md "
                "(co-tuning runs)")
-    resume.add_argument("journal", help="journal file written by "
-                                        "'repro chaos --journal', "
-                                        "'repro fleet --journal', "
-                                        "'repro monitor --journal', "
-                                        "'repro serve --journal', or "
-                                        "'repro design --co-tune --journal'")
+    resume.add_argument("journal", help="journal file written by the "
+                                        "--journal of chaos, fleet, monitor, "
+                                        "serve, or design --co-tune")
     resume.add_argument("--max-units", type=int, default=None,
                         help="simulate another crash after N new units")
     resume.set_defaults(func=cmd_resume)

@@ -32,22 +32,16 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.calibration.cache import CalibrationCache
-from repro.calibration.runner import CalibrationRunner
 from repro.codesign.designer import CodesignDesigner, CoDesign, IndexChoice
-from repro.core.cost_model import (
-    BatchOutcome,
-    CostModel,
-    OptimizerCostModel,
-    _allocation_key,
-)
+from repro.core.cost_model import OptimizerCostModel, _allocation_key
 from repro.core.problem import VirtualizationDesignProblem
-from repro.parallel import make_engine
-from repro.recovery.journal import (
-    BudgetedJournal,
-    RunJournal,
-    UnitBudgetExceeded,
+from repro.recovery.kernel import (
+    JournaledRun,
+    RunOutcome,
+    calibrating_stack,
+    journaled_result,
 )
-from repro.util.errors import RecoveryError
+from repro.recovery.supervisor import JournalingCostModel
 
 
 def _config_of(spec) -> tuple:
@@ -66,7 +60,7 @@ def _config_of(spec) -> tuple:
     return tuple(sorted(config))
 
 
-class JournalingCodesignModel(CostModel):
+class JournalingCodesignModel(JournalingCostModel):
     """Journals fresh what-if evaluations keyed by (workload, allocation,
     index configuration).
 
@@ -79,101 +73,30 @@ class JournalingCodesignModel(CostModel):
 
     kind = "codesign-journaling"
 
-    def __init__(self, inner: CostModel, journal):
-        super().__init__()
-        self._inner = inner
-        self._journal = journal
-
     def _key(self, spec, allocation) -> tuple:
         return (spec.name, _allocation_key(allocation), _config_of(spec))
 
-    def seed_record(self, data: Dict[str, Any]) -> None:
-        """Seed one journaled evaluation (replay path)."""
+    def _evaluation_record(self, spec, allocation,
+                           value: float) -> Dict[str, Any]:
+        record = super()._evaluation_record(spec, allocation, value)
+        record["config"] = [list(entry) for entry in _config_of(spec)]
+        return record
+
+    def _seed_record(self, spec, data: Dict[str, Any]) -> None:
         config = tuple(
             (str(n), str(t), str(c), bool(h))
             for n, t, c, h in data["config"]
         )
         shares = data["allocation"]
-        key = (data["workload"],
-               tuple(round(float(s), 6) for s in shares),
-               config)
+        key = (spec.name, tuple(round(float(s), 6) for s in shares), config)
         with self._memo_lock:
             self._memo[key] = float(data["cost"])
 
-    def _journal_unit(self, spec, allocation, value: float) -> None:
-        self._journal.append("evaluation", {
-            "workload": spec.name,
-            "allocation": list(allocation.as_tuple()),
-            "config": [list(entry) for entry in _config_of(spec)],
-            "cost": value,
-        })
-
-    def cost(self, spec, allocation) -> float:
-        key = self._key(spec, allocation)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        value = self._inner.cost(spec, allocation)
-        self._journal_unit(spec, allocation, value)
-        self._memo[key] = value
-        self.evaluations += 1
-        return value
-
-    def cost_many(self, pairs, engine=None) -> BatchOutcome:
-        """Batched evaluation with per-result journaling.
-
-        Misses go through the inner model's batch API (which may fan
-        out over *engine*); each result then journals in
-        first-appearance order, so a kill mid-batch commits a
-        deterministic prefix and resume re-runs exactly the uncommitted
-        tail.
-        """
-        pairs = list(pairs)
-        keys = [self._key(spec, allocation) for spec, allocation in pairs]
-        values: Dict[tuple, float] = {}
-        todo = []
-        todo_keys: List[tuple] = []
-        pending = set()
-        for key, pair in zip(keys, pairs):
-            if key in values or key in pending:
-                continue
-            cached = self._memo.get(key)
-            if cached is not None:
-                values[key] = cached
-            else:
-                todo.append(pair)
-                todo_keys.append(key)
-                pending.add(key)
-        hits = len(pairs) - len(todo)
-        fresh = 0
-        if todo:
-            inner = self._inner.cost_many(todo, engine=engine)
-            for key, (spec, allocation), value in zip(todo_keys, todo,
-                                                      inner.costs):
-                self._journal_unit(spec, allocation, value)
-                self._memo[key] = value
-                self.evaluations += 1
-                fresh += 1
-                values[key] = value
-        return BatchOutcome(costs=[values[key] for key in keys],
-                            fresh=fresh, hits=hits)
-
-    def _cost(self, spec, allocation) -> float:  # pragma: no cover
-        return self._inner.cost(spec, allocation)
-
 
 @dataclass
-class CodesignRun:
-    """What one :meth:`CodesignSupervisor.run` invocation produced."""
-
-    #: The finished co-design, or ``None`` when the run was killed.
-    design: Optional[CoDesign]
-    #: True when the run finished (a ``result`` record is journaled).
-    completed: bool = False
-    #: Units (calibrations + evaluations) replayed from the journal.
-    replayed_units: int = 0
-    #: Units freshly computed and committed by this invocation.
-    new_units: int = 0
+class CodesignRun(RunOutcome):
+    """What one :meth:`CodesignSupervisor.run` invocation produced: the
+    :class:`CoDesign`; units are calibrations + evaluations."""
 
 
 class CodesignSupervisor:
@@ -230,87 +153,33 @@ class CodesignSupervisor:
     _IDENTITY_KEYS = ("run_kind", "machine", "workloads", "controlled",
                       "algorithm", "grid", "storage_budget", "max_rounds")
 
-    def _check_meta(self, recorded: Dict[str, Any]) -> None:
-        expected = self._meta()
-        mismatched = sorted(
-            key for key in self._IDENTITY_KEYS
-            if key in recorded and recorded[key] != expected[key]
-        )
-        if mismatched:
-            raise RecoveryError(
-                f"journal {self._journal_path} was written by a different "
-                f"co-tuning run: mismatched {', '.join(mismatched)} "
-                f"(resume must use the same problem, budget, and search)")
-
     # -- the run -----------------------------------------------------------
 
     def run(self, resume: bool = False) -> CodesignRun:
         """Execute (or resume) the co-tuning run."""
-        if resume:
-            journal = RunJournal.open(self._journal_path)
-            self._check_meta(journal.meta)
-        else:
-            journal = RunJournal.create(self._journal_path, self._meta())
-
-        budgeted = BudgetedJournal(journal, self._max_units)
-        engine = make_engine(self._workers, self._pool)
-        runner = CalibrationRunner(
-            self._problem.machine, workbench=self._workbench, engine=engine)
-        cache = CalibrationCache(runner, journal=budgeted)
-        cost_model = JournalingCodesignModel(
-            OptimizerCostModel(cache, config_aware=True), budgeted)
-        self.cache = cache
-
-        replayed = self._replay(journal, cache, cost_model)
-        prior_result = journal.records_of("result")
-
-        try:
-            designer = CodesignDesigner(
+        design = None
+        with (JournaledRun(self._journal_path, self._meta(),
+                           self._IDENTITY_KEYS, resume=resume,
+                           max_units=self._max_units) as run,
+              calibrating_stack(
+                  run.journal, self._problem.machine,
+                  workbench=self._workbench, workers=self._workers,
+                  pool=self._pool) as (_injector, engine, _runner, cache)):
+            self.cache = cache
+            cost_model = JournalingCodesignModel(
+                OptimizerCostModel(cache, config_aware=True), run.journal)
+            run.replay({"calibration": cache.replay_record,
+                        "evaluation": cost_model.replayer(
+                            self._problem.specs)})
+            design = CodesignDesigner(
                 self._problem, cost_model,
                 storage_budget=self._storage_budget,
                 algorithm=self._algorithm, grid=self._grid,
                 max_rounds=self._max_rounds,
                 max_evaluations=self._max_evaluations,
-                engine=engine)
-            design = designer.design()
-        except UnitBudgetExceeded:
-            return CodesignRun(design=None, completed=False,
-                               replayed_units=replayed,
-                               new_units=budgeted.new_units)
-        finally:
-            if engine is not None:
-                engine.close()
-
-        if not prior_result:
-            # The result commits to the raw journal: it is the finish
-            # line, not a unit the kill simulation may interrupt.
-            journal.append("result", self._result_record(design))
-        return CodesignRun(design=design, completed=True,
-                           replayed_units=replayed,
-                           new_units=budgeted.new_units)
-
-    # -- replay ------------------------------------------------------------
-
-    def _replay(self, journal: RunJournal, cache: CalibrationCache,
-                cost_model: JournalingCodesignModel) -> int:
-        from repro.optimizer.params import OptimizerParameters
-
-        known = set(self._problem.workload_names())
-        replayed = 0
-        for record in journal.records:
-            if record.kind == "calibration":
-                cache.add_point(
-                    tuple(float(v) for v in record.data["allocation"]),
-                    OptimizerParameters.from_dict(record.data["parameters"]))
-                replayed += 1
-            elif record.kind == "evaluation":
-                name = record.data["workload"]
-                if name not in known:
-                    raise RecoveryError(
-                        f"journal evaluation names unknown workload {name!r}")
-                cost_model.seed_record(record.data)
-                replayed += 1
-        return replayed
+                engine=engine).design()
+            run.commit(self._result_record(design))
+        return run.settle(CodesignRun(design=design))
 
     @staticmethod
     def _result_record(design: CoDesign) -> Dict[str, Any]:
@@ -322,10 +191,7 @@ class CodesignSupervisor:
             "converged": design.converged,
             "trajectory": list(design.trajectory),
             "storage_budget": design.storage_budget,
-            "allocation": {
-                name: list(design.allocation.vector_for(name).as_tuple())
-                for name in design.allocation.workload_names()
-            },
+            "allocation": design.allocation.as_record(),
             "indexes": {
                 name: [choice.as_dict() for choice in choices]
                 for name, choices in sorted(design.indexes.items())
@@ -337,11 +203,8 @@ class CodesignSupervisor:
         }
 
 
-def replay_result(journal_path) -> Optional[Dict[str, Any]]:
-    """The journaled result record of a finished run, if any."""
-    journal = RunJournal.open(journal_path)
-    results = journal.records_of("result")
-    return results[-1].data if results else None
+#: The journaled result record of a finished co-tuning run, if any.
+replay_result = journaled_result
 
 
 def choices_from_record(data: Dict[str, Any]) -> Dict[str, List[IndexChoice]]:

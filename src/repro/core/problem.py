@@ -67,6 +67,11 @@ class AllocationMatrix:
     def as_dict(self) -> Dict[str, ResourceVector]:
         return dict(self._allocations)
 
+    def as_record(self) -> Dict[str, List[float]]:
+        """JSON-ready ``{workload: [cpu, memory, io]}`` (journal records)."""
+        return {name: list(self._allocations[name].as_tuple())
+                for name in self.workload_names()}
+
     def with_vector(self, workload_name: str,
                     vector: ResourceVector) -> "AllocationMatrix":
         updated = dict(self._allocations)

@@ -54,15 +54,17 @@ from repro.drift.planner import RecalibrationPlanner
 from repro.drift.world import DegradingWorld
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.obs import metrics
-from repro.parallel import make_engine
-from repro.recovery.journal import (
-    BudgetedJournal,
-    RunJournal,
-    UnitBudgetExceeded,
+from repro.optimizer.params import OptimizerParameters
+from repro.recovery.journal import BudgetedJournal
+from repro.recovery.kernel import (
+    JournaledRun,
+    RunOutcome,
+    calibrating_stack,
+    plan_meta,
 )
 from repro.surrogate import SurrogateBuilder, design_continuous, warm_start
 from repro.surrogate.surface import Knot, knot_key
-from repro.util.errors import DriftError, RecoveryError
+from repro.util.errors import DriftError
 from repro.virt.resources import ResourceVector
 
 #: Default epochs for an online run.
@@ -77,14 +79,11 @@ DEFAULT_RECAL_BUDGET = 12
 
 
 @dataclass
-class OnlineRun:
-    """What one :meth:`OnlineSupervisor.run` invocation produced."""
+class OnlineRun(RunOutcome):
+    """What one :meth:`OnlineSupervisor.run` invocation produced;
+    ``design`` is the final incumbent (None when killed during the
+    initial fit), units are of every journaled kind."""
 
-    #: The final incumbent design, or ``None`` when killed during the
-    #: initial fit.
-    design: Optional[Design]
-    #: True when the run finished (a ``result`` record is journaled).
-    completed: bool = False
     #: Epochs fully processed by this invocation.
     epochs: int = 0
     #: Every drift event detected, in detection order.
@@ -97,10 +96,6 @@ class OnlineRun:
     budget_spent: int = 0
     #: Requests left in the recalibration budget (None = unbounded).
     budget_remaining: Optional[int] = None
-    #: Units replayed from the journal (all kinds).
-    replayed_units: int = 0
-    #: Units freshly committed by this invocation.
-    new_units: int = 0
     #: Per-epoch summaries: epoch, capacity, observed/predicted
     #: seconds, drift events, refits.
     trajectory: List[Dict[str, Any]] = field(default_factory=list)
@@ -157,20 +152,9 @@ class OnlineSupervisor:
     # -- run identity ------------------------------------------------------
 
     def _meta(self) -> Dict[str, Any]:
-        plan = self._plan
         meta = {
             "run_kind": "drift",
-            "plan": {
-                "name": plan.name, "seed": plan.seed,
-                "transient_rate": plan.transient_rate,
-                "outlier_rate": plan.outlier_rate,
-                "hang_rate": plan.hang_rate,
-                "boot_failure_rate": plan.boot_failure_rate,
-                "vm_crash_rate": plan.vm_crash_rate,
-                "host_degrade_rate": plan.host_degrade_rate,
-                "host_degrade_factor": plan.host_degrade_factor,
-                "migration_failure_rate": plan.migration_failure_rate,
-            },
+            "plan": plan_meta(self._plan),
             "epochs": self._epochs,
             "drift_threshold": self._drift_threshold,
             "recal_budget": self._recal_budget,
@@ -193,108 +177,63 @@ class OnlineSupervisor:
                       "workloads", "controlled", "fine_factor",
                       "surrogate_tol", "surrogate_budget")
 
-    def _check_meta(self, recorded: Dict[str, Any]) -> None:
-        expected = self._meta()
-        mismatched = sorted(
-            key for key in self._IDENTITY_KEYS
-            if key in recorded and recorded[key] != expected[key]
-        )
-        if mismatched:
-            raise RecoveryError(
-                f"journal {self._journal_path} was written by a different "
-                f"run: mismatched {', '.join(mismatched)} (resume must use "
-                f"the same problem, plan, thresholds, and budgets)")
-
     # -- the run -----------------------------------------------------------
 
     def run(self, resume: bool = False) -> OnlineRun:
         """Execute (or resume) the online loop; see the module docstring."""
-        if resume:
-            journal = RunJournal.open(self._journal_path)
-            self._check_meta(journal.meta)
-        else:
-            journal = RunJournal.create(self._journal_path, self._meta())
-
-        budgeted = BudgetedJournal(journal, self._max_units)
-        injector = (None if self._plan.is_benign
-                    else FaultInjector(self._plan, per_unit=True))
-        engine = make_engine(self._workers, self._pool)
-        runner = CalibrationRunner(
-            self._problem.machine, workbench=self._workbench,
-            injector=injector, retry_policy=self._retry_policy,
-            engine=engine)
-        cache = CalibrationCache(runner, journal=budgeted)
-        self.cache = cache
-
-        replay = self._replay(journal, cache)
-        prior_result = self._prior_result(journal)
-        run = OnlineRun(design=None, replayed_units=replay["units"])
-
-        try:
+        online = OnlineRun(design=None)
+        with (JournaledRun(self._journal_path, self._meta(),
+                           self._IDENTITY_KEYS, resume=resume,
+                           max_units=self._max_units) as run,
+              calibrating_stack(
+                  run.journal, self._problem.machine, plan=self._plan,
+                  retry_policy=self._retry_policy,
+                  workbench=self._workbench, workers=self._workers,
+                  pool=self._pool) as (injector, engine, _runner, cache)):
+            self.cache = cache
+            replay = self._replay(run, cache)
             outcome = design_continuous(
                 self._problem, cache, algorithm=self._algorithm,
                 grid=self._grid, fine_factor=self._fine_factor,
                 tolerance=self._surrogate_tol,
                 max_calibrations=self._surrogate_budget,
                 max_evaluations=self._max_evaluations, engine=engine)
-            self._online_phase(outcome, run, budgeted, replay,
+            self._online_phase(outcome, online, run.journal, replay,
                                injector, engine)
-        except UnitBudgetExceeded:
-            run.new_units = budgeted.new_units
-            return run
-        finally:
-            if engine is not None:
-                engine.close()
-
-        if prior_result is None:
-            journal.append("result", self._result_record(run))
-        run.completed = True
-        run.new_units = budgeted.new_units
-        return run
+            run.commit(self._result_record(online))
+        return run.settle(online)
 
     # -- replay ------------------------------------------------------------
 
     @staticmethod
-    def _replay(journal: RunJournal, cache: CalibrationCache) -> Dict:
+    def _replay(run: JournaledRun, cache: CalibrationCache) -> Dict:
         """Load journaled units into replay maps (and the cache)."""
-        from repro.optimizer.params import OptimizerParameters
-
         replay: Dict[str, Any] = {
             "observations": {},    # (epoch, workload) -> observed seconds
             "recalibrations": {},  # (epoch, knot) -> OptimizerParameters
             "drift": set(),        # (epoch, region)
             "redesigns": set(),    # epoch
-            "units": 0,
         }
-        for record in journal.records:
-            data = record.data
-            if record.kind == "calibration":
-                cache.add_point(
-                    tuple(float(v) for v in data["allocation"]),
-                    OptimizerParameters.from_dict(data["parameters"]))
-            elif record.kind == "observation":
-                key = (int(data["epoch"]), str(data["workload"]))
-                replay["observations"][key] = float(data["observed"])
-            elif record.kind == "recalibration":
-                key = (int(data["epoch"]), knot_key(data["allocation"]))
-                replay["recalibrations"][key] = (
-                    OptimizerParameters.from_dict(data["parameters"]))
-            elif record.kind == "drift":
-                replay["drift"].add(
-                    (int(data["epoch"]), tuple(data["region"])))
-            elif record.kind == "redesign":
-                replay["redesigns"].add(int(data["epoch"]))
-            elif record.kind == "result":
-                continue
-            else:  # pragma: no cover - future-proofing
-                continue
-            replay["units"] += 1
-        return replay
 
-    @staticmethod
-    def _prior_result(journal: RunJournal) -> Optional[Dict[str, Any]]:
-        results = journal.records_of("result")
-        return results[-1].data if results else None
+        def observation(data: Dict[str, Any]) -> None:
+            key = (int(data["epoch"]), str(data["workload"]))
+            replay["observations"][key] = float(data["observed"])
+
+        def recalibration(data: Dict[str, Any]) -> None:
+            key = (int(data["epoch"]), knot_key(data["allocation"]))
+            replay["recalibrations"][key] = (
+                OptimizerParameters.from_dict(data["parameters"]))
+
+        run.replay({
+            "calibration": cache.replay_record,
+            "observation": observation,
+            "recalibration": recalibration,
+            "drift": lambda data: replay["drift"].add(
+                (int(data["epoch"]), tuple(data["region"]))),
+            "redesign": lambda data: replay["redesigns"].add(
+                int(data["epoch"])),
+        })
+        return replay
 
     # -- the online phase --------------------------------------------------
 
@@ -465,10 +404,7 @@ class OnlineSupervisor:
         if epoch not in replay["redesigns"]:
             budgeted.append("redesign", {
                 "epoch": epoch,
-                "allocation": {
-                    name: list(design.allocation.vector_for(name).as_tuple())
-                    for name in design.allocation.workload_names()
-                },
+                "allocation": design.allocation.as_record(),
                 "predicted_total_cost": design.predicted_total_cost,
             })
             replay["redesigns"].add(epoch)
@@ -492,9 +428,6 @@ class OnlineSupervisor:
             "budget_remaining": run.budget_remaining,
         }
         if design is not None:
-            record["allocation"] = {
-                name: list(design.allocation.vector_for(name).as_tuple())
-                for name in design.allocation.workload_names()
-            }
+            record["allocation"] = design.allocation.as_record()
             record["predicted_total_cost"] = design.predicted_total_cost
         return record

@@ -34,26 +34,14 @@ from typing import Any, Dict, Optional
 
 from repro.fleet.placement import FleetDesign, FleetDesigner, HostDesign
 from repro.fleet.problem import FleetProblem
-from repro.recovery.journal import (
-    BudgetedJournal,
-    RunJournal,
-    UnitBudgetExceeded,
-)
+from repro.recovery.kernel import JournaledRun, RunOutcome
 from repro.util.errors import RecoveryError
 
 
 @dataclass
-class FleetRun:
-    """What one :meth:`FleetSupervisor.run` invocation produced."""
-
-    #: The converged placement, or ``None`` when the run was killed.
-    design: Optional[FleetDesign]
-    #: True when the run finished (a ``result`` record is journaled).
-    completed: bool = False
-    #: Host designs replayed from the journal.
-    replayed_units: int = 0
-    #: Host designs freshly computed and committed by this invocation.
-    new_units: int = 0
+class FleetRun(RunOutcome):
+    """What one :meth:`FleetSupervisor.run` invocation produced: the
+    converged :class:`FleetDesign`; units are host designs."""
 
 
 class FleetSupervisor:
@@ -108,70 +96,39 @@ class FleetSupervisor:
                       "algorithm", "max_rounds", "move_fraction",
                       "candidates_per_move")
 
-    def _check_meta(self, recorded: Dict[str, Any]) -> None:
-        expected = self._meta()
-        mismatched = sorted(
-            key for key in self._IDENTITY_KEYS
-            if key in recorded and recorded[key] != expected[key]
-        )
-        if mismatched:
-            raise RecoveryError(
-                f"journal {self._journal_path} was written by a different "
-                f"fleet run: mismatched {', '.join(mismatched)} "
-                f"(resume must use the same fleet, clustering, and search)")
-
     # -- the run -----------------------------------------------------------
 
     def run(self, resume: bool = False) -> FleetRun:
         """Execute (or resume) the placement run."""
-        if resume:
-            journal = RunJournal.open(self._journal_path)
-            self._check_meta(journal.meta)
-        else:
-            journal = RunJournal.create(self._journal_path, self._meta())
-
-        budgeted = BudgetedJournal(journal, self._max_units)
-
-        def recorder(design: HostDesign) -> None:
-            budgeted.append("host-design", design.as_dict())
-
-        designer = FleetDesigner(
-            self._problem,
-            clusters=self._clusters,
-            algorithm=self._algorithm,
-            engine=self._engine,
-            max_rounds=self._max_rounds,
-            move_fraction=self._move_fraction,
-            candidates_per_move=self._candidates,
-            recorder=recorder,
-        )
-        replayed = self._replay(journal, designer)
-        prior_result = journal.records_of("result")
-
-        try:
+        design = None
+        with JournaledRun(self._journal_path, self._meta(),
+                          self._IDENTITY_KEYS, resume=resume,
+                          max_units=self._max_units) as run:
+            # The engine is the caller's: the run uses it, never closes it.
+            designer = FleetDesigner(
+                self._problem,
+                clusters=self._clusters,
+                algorithm=self._algorithm,
+                engine=self._engine,
+                max_rounds=self._max_rounds,
+                move_fraction=self._move_fraction,
+                candidates_per_move=self._candidates,
+                recorder=lambda host_design: run.journal.append(
+                    "host-design", host_design.as_dict()),
+            )
+            run.replay({"host-design": self._host_design_replayer(designer)})
             design = designer.design()
-        except UnitBudgetExceeded:
-            return FleetRun(design=None, completed=False,
-                            replayed_units=replayed,
-                            new_units=budgeted.new_units)
-
-        if not prior_result:
-            # The result commits to the raw journal: it is the finish
-            # line, not a unit the kill simulation may interrupt.
-            journal.append("result", self._result_record(design))
-        return FleetRun(design=design, completed=True,
-                        replayed_units=replayed,
-                        new_units=budgeted.new_units)
+            run.commit(self._result_record(design))
+        return run.settle(FleetRun(design=design))
 
     # -- replay ------------------------------------------------------------
 
-    def _replay(self, journal: RunJournal,
-                designer: FleetDesigner) -> int:
+    def _host_design_replayer(self, designer: FleetDesigner):
         known = set(self._problem.host_names())
         workloads = set(self._problem.workload_names())
-        replayed = 0
-        for record in journal.records_of("host-design"):
-            design = HostDesign.from_dict(record.data)
+
+        def replay(data: Dict[str, Any]) -> None:
+            design = HostDesign.from_dict(data)
             if design.host not in known:
                 raise RecoveryError(
                     f"journal host-design names unknown host "
@@ -182,8 +139,7 @@ class FleetSupervisor:
                     f"journal host-design names unknown workload(s) "
                     f"{sorted(unknown)}")
             designer.seed_host_design(design)
-            replayed += 1
-        return replayed
+        return replay
 
     @staticmethod
     def _result_record(design: FleetDesign) -> Dict[str, Any]:

@@ -142,14 +142,39 @@ def read_journal(path: Union[str, pathlib.Path]) -> Tuple[
     return meta, records[1:], tail_dropped
 
 
+def _replace_atomically(path: pathlib.Path,
+                        records: List[JournalRecord]) -> None:
+    """Make *path* hold exactly *records*, or leave it untouched.
+
+    The lines go to a temp file in the same directory, are fsynced,
+    and only then renamed over *path* — so a crash at any point leaves
+    either the old file or the complete new one.
+    """
+    fd, temp_name = tempfile.mkstemp(
+        dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.writelines(record.to_line() + "\n" for record in records)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp_name, path)
+    except BaseException:
+        try:
+            os.unlink(temp_name)
+        except OSError:
+            pass
+        raise
+
+
 class RunJournal:
     """Append-only writer over a journal file.
 
     :meth:`create` writes the header atomically; :meth:`open` reopens
-    an existing journal for appending, first truncating any torn tail
-    so every later append starts on a clean boundary. Each append is
-    flushed and fsynced before returning — a record the caller saw
-    committed survives the process dying on the very next instruction.
+    an existing journal for appending, first dropping any torn tail
+    (atomically too) so every later append starts on a clean boundary.
+    Each append is flushed and fsynced before returning — a record the
+    caller saw committed survives the process dying on the very next
+    instruction.
     """
 
     def __init__(self, path: pathlib.Path, next_seq: int,
@@ -173,20 +198,7 @@ class RunJournal:
         data["format"] = FORMAT
         header = JournalRecord(seq=0, kind="meta", data=data)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, temp_name = tempfile.mkstemp(
-            dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(header.to_line() + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+        _replace_atomically(path, [header])
         return cls(path, next_seq=1, meta=data, records=[])
 
     @classmethod
@@ -195,10 +207,12 @@ class RunJournal:
         path = pathlib.Path(path)
         meta, records, tail_dropped = read_journal(path)
         if tail_dropped:
-            # Truncate the torn tail so appends start on a clean line.
-            good = [JournalRecord(seq=0, kind="meta", data=meta)] + records
-            text = "".join(record.to_line() + "\n" for record in good)
-            path.write_text(text, encoding="utf-8")
+            # Drop the torn tail so appends start on a clean line —
+            # atomically: a second crash during the repair must leave
+            # the journal as it was (torn but readable), never
+            # truncated, because every record in it is a paid-for unit.
+            header = JournalRecord(seq=0, kind="meta", data=meta)
+            _replace_atomically(path, [header] + records)
         return cls(path, next_seq=len(records) + 1, meta=meta,
                    records=list(records))
 

@@ -28,8 +28,10 @@ boundary.
 A "kill" is modeled by ``max_units``: the supervisor raises an internal
 stop after that many *new* journal commits, leaving the journal exactly
 as a ``kill -9`` between two appends would. (A kill mid-append leaves a
-torn tail instead; :meth:`RunJournal.open` truncates it, which simply
-re-runs that one unit.)
+torn tail instead; reopening the journal drops it, which simply re-runs
+that one unit.) The protocol itself — open or create, identity check,
+replay, budget, result commit — is :class:`~repro.recovery.kernel.
+JournaledRun`'s; this module supplies only what is the design run's own.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from dataclasses import dataclass, field, replace as dc_replace
 from typing import Any, Dict, List, Optional
 
 from repro.calibration.cache import CalibrationCache
-from repro.calibration.runner import CalibrationRunner
 from repro.core.cost_model import (
     BatchOutcome,
     CostModel,
@@ -47,23 +48,16 @@ from repro.core.cost_model import (
 from repro.core.designer import Design, VirtualizationDesigner
 from repro.core.problem import VirtualizationDesignProblem
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
-from repro.parallel import make_engine
-from repro.recovery.journal import (
-    BudgetedJournal,
-    RunJournal,
-    UnitBudgetExceeded,
+from repro.recovery.kernel import (
+    JournaledRun,
+    RunOutcome,
+    calibrating_stack,
+    plan_meta,
 )
 from repro.util.errors import RecoveryError
 from repro.virt.health import HealthMonitor, RecoveryAction
 from repro.virt.monitor import VirtualMachineMonitor
 from repro.virt.resources import ResourceVector
-
-
-# The kill-simulation machinery now lives in repro.recovery.journal so
-# the fleet supervisor can share it; the old private names stay as
-# aliases for compatibility.
-_UnitBudgetExceeded = UnitBudgetExceeded
-_BudgetedJournal = BudgetedJournal
 
 
 class JournalingCostModel(CostModel):
@@ -72,6 +66,11 @@ class JournalingCostModel(CostModel):
     Replayed evaluations are seeded into this wrapper's memo (via
     :meth:`CostModel.seed`) and never reach the inner model, so resume
     neither repeats the work nor re-journals the record.
+
+    A subclass whose costs depend on more than (workload, allocation)
+    folds the extra component into :meth:`_key` and
+    :meth:`_evaluation_record` — the co-tuning model adds the index
+    configuration; the journaling itself exists only here.
     """
 
     kind = "journaling"
@@ -92,19 +91,44 @@ class JournalingCostModel(CostModel):
             return inner_key(spec, allocation)
         return super()._key(spec, allocation)
 
+    def _evaluation_record(self, spec, allocation,
+                           value: float) -> Dict[str, Any]:
+        return {
+            "workload": spec.name,
+            "allocation": list(allocation.as_tuple()),
+            "cost": value,
+        }
+
+    def replayer(self, specs):
+        """Replay handler seeding journaled ``evaluation`` records."""
+        by_name = {spec.name: spec for spec in specs}
+
+        def replay(data: Dict[str, Any]) -> None:
+            spec = by_name.get(data["workload"])
+            if spec is None:
+                raise RecoveryError(f"journal evaluation names unknown "
+                                    f"workload {data['workload']!r}")
+            self._seed_record(spec, data)
+        return replay
+
+    def _seed_record(self, spec, data: Dict[str, Any]) -> None:
+        shares = data["allocation"]
+        self.seed(spec, ResourceVector.of(cpu=shares[0], memory=shares[1],
+                                          io=shares[2]), float(data["cost"]))
+
+    def _commit(self, key: tuple, spec, allocation, value: float) -> None:
+        self._journal.append(
+            "evaluation", self._evaluation_record(spec, allocation, value))
+        self._memo[key] = value
+        self.evaluations += 1
+
     def cost(self, spec, allocation) -> float:
         key = self._key(spec, allocation)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
         value = self._inner.cost(spec, allocation)
-        self._journal.append("evaluation", {
-            "workload": spec.name,
-            "allocation": list(allocation.as_tuple()),
-            "cost": value,
-        })
-        self._memo[key] = value
-        self.evaluations += 1
+        self._commit(key, spec, allocation, value)
         return value
 
     def cost_many(self, pairs, engine=None) -> BatchOutcome:
@@ -140,13 +164,7 @@ class JournalingCostModel(CostModel):
             inner = self._inner.cost_many(todo, engine=engine)
             for key, (spec, allocation), value in zip(todo_keys, todo,
                                                       inner.costs):
-                self._journal.append("evaluation", {
-                    "workload": spec.name,
-                    "allocation": list(allocation.as_tuple()),
-                    "cost": value,
-                })
-                self._memo[key] = value
-                self.evaluations += 1
+                self._commit(key, spec, allocation, value)
                 fresh += 1
                 values[key] = value
         return BatchOutcome(costs=[values[key] for key in keys],
@@ -157,19 +175,12 @@ class JournalingCostModel(CostModel):
 
 
 @dataclass
-class SupervisedRun:
-    """What one :meth:`RunSupervisor.run` invocation produced."""
+class SupervisedRun(RunOutcome):
+    """What one :meth:`RunSupervisor.run` invocation produced; units are
+    calibrations + evaluations."""
 
-    #: The finished design, or ``None`` when the run was killed early.
-    design: Optional[Design]
     #: Watchdog recovery actions taken during the deployment phase.
     actions: List[RecoveryAction] = field(default_factory=list)
-    #: True when the run finished (a ``result`` record is journaled).
-    completed: bool = False
-    #: Units (calibrations + evaluations) replayed from the journal.
-    replayed_units: int = 0
-    #: Units freshly computed and committed by this invocation.
-    new_units: int = 0
 
 
 class RunSupervisor:
@@ -228,18 +239,13 @@ class RunSupervisor:
     # -- run identity ------------------------------------------------------
 
     def _meta(self) -> Dict[str, Any]:
-        plan = self._plan
+        plan = plan_meta(self._plan)
+        # The design-run header has never recorded the degrade severity
+        # (drift and serve headers do); plan dicts compare wholesale on
+        # resume and journal bytes are the contract, so it stays out.
+        del plan["host_degrade_factor"]
         meta = {
-            "plan": {
-                "name": plan.name, "seed": plan.seed,
-                "transient_rate": plan.transient_rate,
-                "outlier_rate": plan.outlier_rate,
-                "hang_rate": plan.hang_rate,
-                "boot_failure_rate": plan.boot_failure_rate,
-                "vm_crash_rate": plan.vm_crash_rate,
-                "host_degrade_rate": plan.host_degrade_rate,
-                "migration_failure_rate": plan.migration_failure_rate,
-            },
+            "plan": plan,
             "algorithm": self._algorithm,
             "grid": self._grid,
             "machine": self._problem.machine.name,
@@ -260,47 +266,25 @@ class RunSupervisor:
                       "controlled", "watchdog_probes", "continuous",
                       "fine_factor", "surrogate_tol", "surrogate_budget")
 
-    def _check_meta(self, recorded: Dict[str, Any]) -> None:
-        expected = self._meta()
-        # Identity keys absent from the recorded meta (a journal written
-        # before that key existed) are skipped rather than treated as a
-        # mismatch, so old journals stay resumable.
-        mismatched = sorted(
-            key for key in self._IDENTITY_KEYS
-            if key in recorded and recorded[key] != expected[key]
-        )
-        if mismatched:
-            raise RecoveryError(
-                f"journal {self._journal_path} was written by a different "
-                f"run: mismatched {', '.join(mismatched)} "
-                f"(resume must use the same problem, plan, and search)")
-
     # -- the run -----------------------------------------------------------
 
     def run(self, resume: bool = False) -> SupervisedRun:
         """Execute (or resume) the design run; see the module docstring."""
-        if resume:
-            journal = RunJournal.open(self._journal_path)
-            self._check_meta(journal.meta)
-        else:
-            journal = RunJournal.create(self._journal_path, self._meta())
-
-        budgeted = _BudgetedJournal(journal, self._max_units)
-        injector = (None if self._plan.is_benign
-                    else FaultInjector(self._plan, per_unit=True))
-        engine = make_engine(self._workers, self._pool)
-        runner = CalibrationRunner(
-            self._problem.machine, workbench=self._workbench,
-            injector=injector, retry_policy=self._retry_policy,
-            engine=engine)
-        cache = CalibrationCache(runner, journal=budgeted)
-        cost_model = JournalingCostModel(OptimizerCostModel(cache), budgeted)
-        self.cache = cache
-
-        replayed = self._replay(journal, cache, cost_model)
-        prior_result = self._prior_result(journal)
-
-        try:
+        design, actions = None, []
+        with (JournaledRun(self._journal_path, self._meta(),
+                           self._IDENTITY_KEYS, resume=resume,
+                           max_units=self._max_units) as run,
+              calibrating_stack(
+                  run.journal, self._problem.machine, plan=self._plan,
+                  retry_policy=self._retry_policy,
+                  workbench=self._workbench, workers=self._workers,
+                  pool=self._pool) as (injector, engine, _runner, cache)):
+            self.cache = cache
+            cost_model = JournalingCostModel(OptimizerCostModel(cache),
+                                             run.journal)
+            run.replay({"calibration": cache.replay_record,
+                        "evaluation": cost_model.replayer(
+                            self._problem.specs)})
             if self._continuous:
                 # Continuous mode journals only calibrations: every
                 # knot the fit/polish pays for commits the moment it
@@ -330,52 +314,8 @@ class RunSupervisor:
                     engine=engine, continuous=False,
                     fine_factor=self._fine_factor)
             actions = self._deploy_and_watch(designer, design, injector)
-        except _UnitBudgetExceeded:
-            return SupervisedRun(design=None, completed=False,
-                                 replayed_units=replayed,
-                                 new_units=budgeted.new_units)
-        finally:
-            if engine is not None:
-                engine.close()
-
-        if prior_result is None:
-            journal.append("result", self._result_record(design, actions))
-        return SupervisedRun(design=design, actions=actions, completed=True,
-                             replayed_units=replayed,
-                             new_units=budgeted.new_units)
-
-    # -- replay ------------------------------------------------------------
-
-    def _replay(self, journal: RunJournal, cache: CalibrationCache,
-                cost_model: CostModel) -> int:
-        from repro.optimizer.params import OptimizerParameters
-
-        specs = {spec.name: spec for spec in self._problem.specs}
-        replayed = 0
-        for record in journal.records:
-            if record.kind == "calibration":
-                cache.add_point(
-                    tuple(float(v) for v in record.data["allocation"]),
-                    OptimizerParameters.from_dict(record.data["parameters"]))
-                replayed += 1
-            elif record.kind == "evaluation":
-                name = record.data["workload"]
-                spec = specs.get(name)
-                if spec is None:
-                    raise RecoveryError(
-                        f"journal evaluation names unknown workload {name!r}")
-                shares = record.data["allocation"]
-                allocation = ResourceVector.of(
-                    cpu=shares[0], memory=shares[1], io=shares[2])
-                cost_model.seed(spec, allocation,
-                                float(record.data["cost"]))
-                replayed += 1
-        return replayed
-
-    @staticmethod
-    def _prior_result(journal: RunJournal) -> Optional[Dict[str, Any]]:
-        results = journal.records_of("result")
-        return results[-1].data if results else None
+            run.commit(self._result_record(design, actions))
+        return run.settle(SupervisedRun(design=design, actions=actions))
 
     # -- the watchdog-supervised deployment phase --------------------------
 
@@ -411,9 +351,6 @@ class RunSupervisor:
             "algorithm": design.algorithm,
             "stopped": design.stopped,
             "predicted_total_cost": design.predicted_total_cost,
-            "allocation": {
-                name: list(design.allocation.vector_for(name).as_tuple())
-                for name in design.allocation.workload_names()
-            },
+            "allocation": design.allocation.as_record(),
             "actions": [action.as_dict() for action in actions],
         }

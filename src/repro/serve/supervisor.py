@@ -33,15 +33,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.calibration.cache import CalibrationCache
-from repro.calibration.runner import CalibrationRunner
-from repro.core.designer import Design
 from repro.core.problem import VirtualizationDesignProblem
-from repro.faults import FaultInjector, FaultPlan, RetryPolicy
-from repro.parallel import make_engine
-from repro.recovery.journal import (
-    BudgetedJournal,
-    RunJournal,
-    UnitBudgetExceeded,
+from repro.faults import FaultPlan, RetryPolicy
+from repro.optimizer.params import OptimizerParameters
+from repro.recovery.kernel import (
+    JournaledRun,
+    RunOutcome,
+    calibrating_stack,
+    plan_meta,
 )
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.clock import SimulatedClock
@@ -51,7 +50,6 @@ from repro.serve.service import DesignService, ServeConfig
 from repro.serve.trace import ServeScenario, generate_trace
 from repro.surrogate import design_continuous
 from repro.surrogate.surface import knot_key
-from repro.util.errors import RecoveryError
 
 
 def quantile(sorted_values: List[float], q: float) -> float:
@@ -129,20 +127,16 @@ class SessionStats:
 
 
 @dataclass
-class ServeRun:
-    """What one :meth:`ServeSupervisor.run` invocation produced."""
+class ServeRun(RunOutcome):
+    """What one :meth:`ServeSupervisor.run` invocation produced;
+    ``design`` is the final incumbent (None when killed during the
+    boot fit or before any trace processing)."""
 
-    #: The final incumbent design (None when killed during the boot
-    #: fit or before any trace processing).
-    design: Optional[Design]
-    completed: bool = False
     responses: List[ServeResponse] = field(default_factory=list)
     stats: Optional[SessionStats] = None
     #: Design requests committed over the whole session.
     design_seq: int = 0
     breaker_trips: int = 0
-    replayed_units: int = 0
-    new_units: int = 0
     surface: Any = None
 
 
@@ -186,20 +180,9 @@ class ServeSupervisor:
     # -- run identity ------------------------------------------------------
 
     def _meta(self) -> Dict[str, Any]:
-        plan = self._plan
         meta = {
             "run_kind": "serve",
-            "plan": {
-                "name": plan.name, "seed": plan.seed,
-                "transient_rate": plan.transient_rate,
-                "outlier_rate": plan.outlier_rate,
-                "hang_rate": plan.hang_rate,
-                "boot_failure_rate": plan.boot_failure_rate,
-                "vm_crash_rate": plan.vm_crash_rate,
-                "host_degrade_rate": plan.host_degrade_rate,
-                "host_degrade_factor": plan.host_degrade_factor,
-                "migration_failure_rate": plan.migration_failure_rate,
-            },
+            "plan": plan_meta(self._plan),
             "scenario": self._scenario.as_dict(),
             "config": self._config.as_dict(),
             "algorithm": self._algorithm,
@@ -221,18 +204,6 @@ class ServeSupervisor:
                       "controlled", "fine_factor", "surrogate_tol",
                       "surrogate_budget")
 
-    def _check_meta(self, recorded: Dict[str, Any]) -> None:
-        expected = self._meta()
-        mismatched = sorted(
-            key for key in self._IDENTITY_KEYS
-            if key in recorded and recorded[key] != expected[key]
-        )
-        if mismatched:
-            raise RecoveryError(
-                f"journal {self._journal_path} was written by a different "
-                f"run: mismatched {', '.join(mismatched)} (resume must use "
-                f"the same problem, plan, scenario, and service config)")
-
     # -- the run -----------------------------------------------------------
 
     def run(self, resume: bool = False) -> ServeRun:
@@ -242,28 +213,31 @@ class ServeSupervisor:
         # any journal is created or calibration spent.
         trace = generate_trace(self._scenario,
                                self._problem.workload_names())
-        if resume:
-            journal = RunJournal.open(self._journal_path)
-            self._check_meta(journal.meta)
-        else:
-            journal = RunJournal.create(self._journal_path, self._meta())
+        session = ServeRun(design=None)
+        with (JournaledRun(self._journal_path, self._meta(),
+                           self._IDENTITY_KEYS, resume=resume,
+                           max_units=self._max_units) as run,
+              calibrating_stack(
+                  run.journal, self._problem.machine, plan=self._plan,
+                  retry_policy=self._retry_policy,
+                  workbench=self._workbench, workers=self._workers,
+                  pool=self._pool) as (_injector, engine, runner, cache)):
+            self.cache = cache
+            # Journaled units the service consults instead of redoing:
+            # (design_seq, knot) -> parameters; design_seq -> record.
+            replay: Dict[str, Any] = {"recalibrations": {}, "incumbents": {}}
 
-        budgeted = BudgetedJournal(journal, self._max_units)
-        injector = (None if self._plan.is_benign
-                    else FaultInjector(self._plan, per_unit=True))
-        engine = make_engine(self._workers, self._pool)
-        runner = CalibrationRunner(
-            self._problem.machine, workbench=self._workbench,
-            injector=injector, retry_policy=self._retry_policy,
-            engine=engine)
-        cache = CalibrationCache(runner, journal=budgeted)
-        self.cache = cache
+            def recalibration(data: Dict[str, Any]) -> None:
+                key = (int(data["design_seq"]), knot_key(data["allocation"]))
+                replay["recalibrations"][key] = (
+                    OptimizerParameters.from_dict(data["parameters"]))
 
-        replay = self._replay(journal, cache)
-        prior_result = self._prior_result(journal)
-        run = ServeRun(design=None, replayed_units=replay["units"])
+            def incumbent(data: Dict[str, Any]) -> None:
+                replay["incumbents"][int(data["design_seq"])] = data
 
-        try:
+            run.replay({"calibration": cache.replay_record,
+                        "recalibration": recalibration,
+                        "incumbent": incumbent})
             outcome = design_continuous(
                 self._problem, cache, algorithm=self._algorithm,
                 grid=self._grid, fine_factor=self._fine_factor,
@@ -272,69 +246,22 @@ class ServeSupervisor:
             service = DesignService(
                 self._problem, outcome.surface, outcome.design,
                 config=self._config, clock=SimulatedClock(),
-                runner=runner, journal=budgeted, replay=replay,
+                runner=runner, journal=run.journal, replay=replay,
                 engine=engine,
                 breaker=CircuitBreaker(self._config.breaker_trip_after,
                                        self._retry_policy))
             service.configure_search(self._algorithm, self._grid,
                                      self._fine_factor)
             self.service = service
-            daemon = ServeDaemon(service)
-            run.responses = asyncio.run(daemon.run_trace(trace))
-        except UnitBudgetExceeded:
-            run.new_units = budgeted.new_units
-            return run
-        finally:
-            if engine is not None:
-                engine.close()
-
-        run.design = service.incumbent
-        run.surface = service.surface
-        run.design_seq = service.design_seq
-        run.breaker_trips = service.breaker.trips
-        run.stats = SessionStats.from_responses(run.responses)
-        if prior_result is None:
-            journal.append("result", self._result_record(run))
-        run.completed = True
-        run.new_units = budgeted.new_units
-        return run
-
-    # -- replay ------------------------------------------------------------
-
-    @staticmethod
-    def _replay(journal: RunJournal, cache: CalibrationCache) -> Dict:
-        """Load journaled units into replay maps (and the cache)."""
-        from repro.optimizer.params import OptimizerParameters
-
-        replay: Dict[str, Any] = {
-            "recalibrations": {},  # (design_seq, knot) -> parameters
-            "incumbents": {},      # design_seq -> incumbent record
-            "units": 0,
-        }
-        for record in journal.records:
-            data = record.data
-            if record.kind == "calibration":
-                cache.add_point(
-                    tuple(float(v) for v in data["allocation"]),
-                    OptimizerParameters.from_dict(data["parameters"]))
-            elif record.kind == "recalibration":
-                key = (int(data["design_seq"]),
-                       knot_key(data["allocation"]))
-                replay["recalibrations"][key] = (
-                    OptimizerParameters.from_dict(data["parameters"]))
-            elif record.kind == "incumbent":
-                replay["incumbents"][int(data["design_seq"])] = data
-            elif record.kind == "result":
-                continue
-            else:  # pragma: no cover - future-proofing
-                continue
-            replay["units"] += 1
-        return replay
-
-    @staticmethod
-    def _prior_result(journal: RunJournal) -> Optional[Dict[str, Any]]:
-        results = journal.records_of("result")
-        return results[-1].data if results else None
+            session.responses = asyncio.run(
+                ServeDaemon(service).run_trace(trace))
+            session.design = service.incumbent
+            session.surface = service.surface
+            session.design_seq = service.design_seq
+            session.breaker_trips = service.breaker.trips
+            session.stats = SessionStats.from_responses(session.responses)
+            run.commit(self._result_record(session))
+        return run.settle(session)
 
     def _result_record(self, run: ServeRun) -> Dict[str, Any]:
         stats = run.stats
@@ -346,9 +273,6 @@ class ServeSupervisor:
             record.update(stats.as_dict())
         design = run.design
         if design is not None:
-            record["allocation"] = {
-                name: list(design.allocation.vector_for(name).as_tuple())
-                for name in design.allocation.workload_names()
-            }
+            record["allocation"] = design.allocation.as_record()
             record["predicted_total_cost"] = design.predicted_total_cost
         return record

@@ -170,3 +170,38 @@ class TestContractTable:
             # Failures are typed and explained, never raw tracebacks.
             assert "error:" in err or "usage:" in err
             assert "Traceback" not in err
+
+
+class TestResumeDispatch:
+    """``repro resume`` picks the run kind from the journal header."""
+
+    def test_unknown_run_kind_is_a_typed_permanent_failure(self, tmp_path,
+                                                           capsys):
+        """e.g. bench_e2e's ``run_kind: "bench"`` journals — not a
+        misleading complaint about a missing fault plan."""
+        from repro.recovery import RunJournal
+
+        path = tmp_path / "bench.journal"
+        RunJournal.create(path, {"run_kind": "bench"})
+        assert exit_code(["resume", path]) == 3
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert "'bench'" in err
+        for known in ("chaos", "codesign", "drift", "fleet", "serve"):
+            assert known in err
+        assert "fault plan" not in err
+
+    def test_header_without_run_kind_is_a_supervised_design_run(
+            self, tmp_path, capsys):
+        """PR 3-era journals predate ``run_kind``; they still resume."""
+        from repro.recovery import read_journal
+
+        path = tmp_path / "chaos.journal"
+        assert exit_code(["chaos", "--plan", "none", "--scale", 0.002,
+                          "--grid", 3, "--journal", path,
+                          "--max-units", 1]) == 4
+        meta, _records, _tail = read_journal(path)
+        assert "run_kind" not in meta
+        capsys.readouterr()
+        assert exit_code(["resume", path]) == 0
+        assert "Design via greedy" in capsys.readouterr().out

@@ -94,6 +94,41 @@ class TestTornTail:
         assert tail == 0
         assert [r.data["index"] for r in records] == [0, 1, 2]
 
+    def test_crash_during_tail_repair_loses_no_committed_record(
+            self, tmp_path, monkeypatch):
+        """A second crash *while* the torn tail is being dropped must
+        leave every committed (paid-for) record readable."""
+        import os
+        import pathlib
+
+        path = tmp_path / "run.journal"
+        make_journal(path, n_records=3)
+        with open(path, "a") as handle:
+            handle.write('{"seq": 4, "kind": "unit", "da')
+
+        class Crash(Exception):
+            pass
+
+        def dying_write_text(self, data, *args, **kwargs):
+            # What dying inside write_text does: the file is already
+            # truncated by open(..., "w"), nothing is written yet.
+            open(self, "w").close()
+            raise Crash()
+
+        def dying_replace(src, dst):
+            raise Crash()
+
+        # Whichever way the repair rewrites the file, it dies mid-way.
+        with monkeypatch.context() as patched:
+            patched.setattr(pathlib.Path, "write_text", dying_write_text)
+            patched.setattr(os, "replace", dying_replace)
+            with pytest.raises(Crash):
+                RunJournal.open(path)
+
+        journal = RunJournal.open(path)  # the next resume
+        assert [r.data["index"] for r in journal.records] == [0, 1, 2]
+        assert list(tmp_path.iterdir()) == [path]  # no temp file left
+
 
 class TestCorruption:
     def test_checksum_mismatch_mid_file_raises(self, tmp_path):
