@@ -1,41 +1,40 @@
 #!/usr/bin/env python
-"""Benchmark: the hot-path fast layers against their scalar fallbacks.
+"""Benchmark: the calibration and what-if hot paths.
 
-PR 9's raw-speed pass attacked three profiled hot paths:
+PR 9's raw-speed pass attacked three profiled hot paths, each of which
+is now the only path through its layer:
 
 * the engine's per-tuple inner loops and the perf model's time
-  integration (batched in :mod:`repro.engine.executor`, guarded by
-  ``scalar_fallback()``);
-* the calibration runner's execute-once/replay-many trace cache
-  (``reuse_traces``), which shares buffer-pool warmup across the
-  synthetic trials of every calibration landing on the same pool size;
+  integration (:mod:`repro.engine.executor` counts steps and charges
+  them through ``WorkTrace.add_cpu_repeated``);
+* the calibration runner's execute-once/replay-many trace cache, which
+  shares buffer-pool warmup across the synthetic trials of every
+  calibration landing on the same pool size;
 * the what-if optimizer's optimize-once/re-cost-many cost programs
-  (:mod:`repro.optimizer.recost`, guarded by
-  ``full_planning_fallback()``), which bind a query's candidate plan
+  (:mod:`repro.optimizer.recost`), which bind a query's candidate plan
   shapes once and re-cost them under every new parameter set ``P``.
 
-This benchmark times each layer against its fallback *in the same
-process on the same host*, asserts the results are bit-identical both
-ways, and relates the calibration rate to the committed
-``BENCH_surrogate.json`` dense-grid baseline (measured before the fast
-paths landed, on the same laboratory scenario).
+Bit-identity of the three against the code they replaced is a tier-1
+test (``tests/engine/test_reference_digests.py``); this benchmark
+records how fast they are.
 
 Two timed sections:
 
 * **calibration** — the synthetic calibration suite over a handful of
-  allocations, single-threaded, once with every fast path on and once
-  with the scalar executor and a cold trace cache. Identity: the
-  calibrated :class:`OptimizerParameters` must match exactly.
+  allocations, single-threaded, related to the committed
+  ``BENCH_surrogate.json`` dense-grid baseline (measured before the
+  raw-speed pass, on the same laboratory scenario).
 * **exhaustive-grid** — the Figure 5-style allocation search over a
-  pre-warmed interpolating calibration cache. The baseline row plans
-  fully for every (query, allocation); the ``recost`` rows replay
-  compiled cost programs, serially and at 1/2/4 engine workers.
-  Identity: every configuration must land on the same allocation,
-  predicted cost, and evaluation count.
+  pre-warmed interpolating calibration cache. The baseline row costs
+  every (statement, allocation) by planning it from scratch with a
+  fresh ``Planner`` (a script-local cost model; ``src/`` has no such
+  mode); the ``recost`` rows replay compiled cost programs, serially
+  and at 1/2/4 engine workers. Identity: every configuration must land
+  on the same allocation, predicted cost, and evaluation count.
 
 Writes ``benchmarks/results/BENCH_hotpath.json`` (suite ``hotpath``);
 ``scripts/check_bench.py`` validates the schema, re-derives every
-summary number, hard-fails on any identity break, and gates the
+summary number, hard-fails on an identity break, and gates the
 calibration speedup vs the surrogate baseline (``--min-calibration-
 speedup``) and the 4-worker grid speedup on multi-core hosts
 (``--min-grid-speedup``).
@@ -64,8 +63,7 @@ from repro.core import (  # noqa: E402
     VirtualizationDesigner,
     WorkloadSpec,
 )
-from repro.engine import executor  # noqa: E402
-from repro.optimizer import whatif  # noqa: E402
+from repro.optimizer.planner import Planner  # noqa: E402
 from repro.parallel import EvaluationEngine  # noqa: E402
 from repro.virt.machine import laboratory_machine  # noqa: E402
 from repro.virt.resources import ResourceKind, ResourceVector  # noqa: E402
@@ -90,7 +88,7 @@ REPETITIONS = 3
 
 
 def read_baseline() -> dict:
-    """The committed surrogate dense-grid run: the pre-fast-path rate."""
+    """The committed surrogate dense-grid run: the pre-speed-pass rate."""
     payload = json.loads(BASELINE_PATH.read_text())
     dense = [e for e in payload["entries"] if e["name"] == "dense-grid"][0]
     return {
@@ -105,48 +103,27 @@ def read_baseline() -> dict:
 # -- section 1: single-threaded calibration ----------------------------------
 
 
-def run_calibrations(machine, shares, reuse_traces):
-    """Calibrate every share on a fresh runner; returns (wall, params)."""
-    runner = CalibrationRunner(machine, reuse_traces=reuse_traces)
-    params = []
+def run_calibrations(machine, shares):
+    """Calibrate every share on a fresh runner; returns the wall time."""
+    runner = CalibrationRunner(machine)
     start = time.perf_counter()
     for share in shares:
-        allocation = ResourceVector.of(cpu=share, memory=share, io=share)
-        params.append(runner.calibrate(allocation).parameters)
-    return time.perf_counter() - start, params
+        runner.calibrate(ResourceVector.of(cpu=share, memory=share, io=share))
+    return time.perf_counter() - start
 
 
 def bench_calibration(shares, repetitions):
     machine = laboratory_machine()
     print(f"[calibration] {len(shares)} allocation(s), single-threaded",
           file=sys.stderr)
-
-    fast_wall, fast_params = run_calibrations(machine, shares, True)
-    for _rep in range(repetitions - 1):
-        again, _params = run_calibrations(machine, shares, True)
-        fast_wall = min(fast_wall, again)
-    print(f"  fast:   {fast_wall:.3f}s "
-          f"({fast_wall / len(shares):.4f}s per calibration)",
+    wall = min(run_calibrations(machine, shares)
+               for _rep in range(repetitions))
+    print(f"  fast: {wall:.3f}s ({wall / len(shares):.4f}s per calibration)",
           file=sys.stderr)
-
-    with executor.scalar_fallback():
-        scalar_wall, scalar_params = run_calibrations(machine, shares, False)
-    print(f"  scalar: {scalar_wall:.3f}s "
-          f"({scalar_wall / len(shares):.4f}s per calibration)",
-          file=sys.stderr)
-
-    identical = fast_params == scalar_params
-    entries = [
-        {"name": "calibration", "mode": "fast",
-         "calibrations": len(shares),
-         "wall_seconds": round(fast_wall, 4),
-         "seconds_per_calibration": round(fast_wall / len(shares), 6)},
-        {"name": "calibration", "mode": "scalar",
-         "calibrations": len(shares),
-         "wall_seconds": round(scalar_wall, 4),
-         "seconds_per_calibration": round(scalar_wall / len(shares), 6)},
-    ]
-    return entries, identical
+    return {"name": "calibration", "mode": "fast",
+            "calibrations": len(shares),
+            "wall_seconds": round(wall, 4),
+            "seconds_per_calibration": round(wall / len(shares), 6)}
 
 
 # -- section 2: exhaustive-grid design search --------------------------------
@@ -184,18 +161,35 @@ def warm_cache(problem, grid, smoke) -> CalibrationCache:
     return cache
 
 
-def timed_design(problem, cache, grid, engine):
-    model = OptimizerCostModel(cache)
+class FullPlanningCostModel(OptimizerCostModel):
+    """The grid section's baseline: no program, no estimate cache.
+
+    Every statement of every (workload, allocation) evaluation is
+    planned from scratch; the sum is the one ``estimate_workload``
+    computes, so the search must land on the identical design.
+    """
+
+    def _cost(self, spec, allocation):
+        params = self.parameters_for(allocation)
+        catalog = spec.database.catalog
+        return sum(
+            params.cost_to_seconds(
+                Planner(catalog, params).plan_sql(sql).est_total_cost)
+            for sql in spec.workload.statements)
+
+
+def timed_design(problem, cache, grid, engine, model_class=OptimizerCostModel):
+    model = model_class(cache)
     designer = VirtualizationDesigner(problem, model)
     start = time.perf_counter()
     design = designer.design("exhaustive", grid=grid, engine=engine)
     return time.perf_counter() - start, design
 
 
-def best_of(problem, cache, grid, engine, repetitions):
-    seconds, design = timed_design(problem, cache, grid, engine)
+def best_of(problem, cache, grid, engine, repetitions, **kwargs):
+    seconds, design = timed_design(problem, cache, grid, engine, **kwargs)
     for _rep in range(repetitions - 1):
-        again, _design = timed_design(problem, cache, grid, engine)
+        again, _design = timed_design(problem, cache, grid, engine, **kwargs)
         seconds = min(seconds, again)
     return seconds, design
 
@@ -215,9 +209,8 @@ def bench_design(grid, repetitions, smoke):
     # corners) do not land on whichever timed run goes first.
     timed_design(problem, cache, grid, engine=None)
 
-    with whatif.full_planning_fallback():
-        base_wall, base_design = best_of(problem, cache, grid, None,
-                                         repetitions)
+    base_wall, base_design = best_of(problem, cache, grid, None, repetitions,
+                                     model_class=FullPlanningCostModel)
     print(f"  full-planning serial: {base_wall:.3f}s "
           f"({base_design.evaluations} evaluations)", file=sys.stderr)
     entries = [{
@@ -273,12 +266,10 @@ def main(argv=None) -> int:
     grid = GRID_SMOKE if args.smoke else GRID
     repetitions = 2 if args.smoke else REPETITIONS
 
-    cal_entries, cal_identical = bench_calibration(shares, repetitions)
+    fast = bench_calibration(shares, repetitions)
     design_entries, design_identical = bench_design(grid, repetitions,
                                                     args.smoke)
 
-    fast = cal_entries[0]
-    scalar = cal_entries[1]
     four = [e for e in design_entries
             if e["mode"] == "recost" and e["workers"] == 4][0]
     serial = [e for e in design_entries
@@ -288,14 +279,11 @@ def main(argv=None) -> int:
         "smoke": bool(args.smoke),
         "host_cpus": os.cpu_count() or 1,
         "baseline": baseline,
-        "entries": cal_entries + design_entries,
+        "entries": [fast] + design_entries,
         "identity": {
-            "calibration_identical": bool(cal_identical),
             "design_identical": bool(design_identical),
         },
         "summary": {
-            "calibration_speedup": round(
-                scalar["wall_seconds"] / fast["wall_seconds"], 3),
             "calibration_speedup_vs_baseline": round(
                 baseline["seconds_per_calibration"]
                 / fast["seconds_per_calibration"], 3),

@@ -24,13 +24,13 @@ Two jobs, both CI-facing:
    (answered + degraded + rejected = requests), record zero untyped
    errors and zero deadline violations, shed under the overload burst,
    and report a bit-identical kill/resume probe. ``suite: "hotpath"``
-   files (``scripts/bench_hotpath.py``) must carry fast and scalar
-   calibration rows, a full-planning design baseline plus recost rows
+   files (``scripts/bench_hotpath.py``) must carry one ``fast``
+   calibration row, a full-planning design baseline plus recost rows
    at 1/2/4 workers with equal evaluation counts, a ``baseline`` block
    matching the committed ``BENCH_surrogate.json`` dense-grid run, and
-   a ``summary`` re-derivable from the entries; both identity flags
-   (fast-vs-scalar calibration, recost-vs-full-planning design) are
-   hard requirements. ``suite: "codesign"`` files
+   a ``summary`` re-derivable from the entries; the identity flag
+   (recost-vs-full-planning design) is a hard requirement.
+   ``suite: "codesign"`` files
    (``scripts/bench_codesign.py``) must carry one ``allocation-only``
    and one ``codesign`` entry, a monotonically non-increasing
    half-step trajectory, per-VM page spending within the storage
@@ -59,8 +59,8 @@ Two jobs, both CI-facing:
    committed surrogate dense-grid baseline by
    ``--min-calibration-speedup``, and on hosts recording at least
    4 CPUs its 4-worker grid search must beat the full-planning serial
-   baseline by ``--min-grid-speedup`` (identity flags and
-   fast-not-slower-than-scalar are hard checks); the codesign suite
+   baseline by ``--min-grid-speedup`` (the identity flag is a hard
+   check); the codesign suite
    must beat the best allocation-only design (``improvement > 0``,
    always) by at least ``--min-codesign-improvement``, with its
    monotone trajectory and bit-identical kill/resume probe as hard
@@ -805,11 +805,10 @@ def check_hotpath(payload: dict, min_calibration_speedup: float,
                 problems.append(f"{prefix}.speedup must be positive")
             grid_rows.setdefault((entry["mode"], entry["workers"]),
                                  []).append(entry)
-    for mode in ("fast", "scalar"):
-        if len(calibration.get(mode, [])) != 1:
-            problems.append(
-                f"suite needs exactly one {mode!r} calibration row, found "
-                f"{len(calibration.get(mode, []))}")
+    if sorted(calibration) != ["fast"] or len(calibration["fast"]) != 1:
+        problems.append(
+            "suite needs exactly one calibration row, mode 'fast'; found "
+            f"modes {sorted((m, len(r)) for m, r in calibration.items())}")
     expected_rows = [("full-planning", None), ("recost", None),
                      ("recost", 1), ("recost", 2), ("recost", 4)]
     for key in expected_rows:
@@ -826,12 +825,7 @@ def check_hotpath(payload: dict, min_calibration_speedup: float,
         return problems
 
     fast = calibration["fast"][0]
-    scalar = calibration["scalar"][0]
     base = grid_rows[("full-planning", None)][0]
-    if fast["calibrations"] != scalar["calibrations"]:
-        problems.append(
-            f"fast row calibrated {fast['calibrations']} allocation(s), "
-            f"scalar calibrated {scalar['calibrations']} — not comparable")
     if base["speedup"] != 1.0:
         problems.append("the full-planning row is the baseline but its "
                         f"speedup is {base['speedup']}, not 1.0")
@@ -856,12 +850,10 @@ def check_hotpath(payload: dict, min_calibration_speedup: float,
                                  HOTPATH_BASELINE_FIELDS))
     identity = payload["identity"]
     problems.extend(check_fields("identity", identity, {
-        "calibration_identical": bool,
         "design_identical": bool,
     }))
     summary = payload["summary"]
     problems.extend(check_fields("summary", summary, {
-        "calibration_speedup": (int, float),
         "calibration_speedup_vs_baseline": (int, float),
         "recost_speedup": (int, float),
         "grid_speedup_4_workers": (int, float),
@@ -901,8 +893,6 @@ def check_hotpath(payload: dict, min_calibration_speedup: float,
         return problems
 
     checks = (
-        ("calibration_speedup",
-         scalar["wall_seconds"] / fast["wall_seconds"]),
         ("calibration_speedup_vs_baseline",
          baseline["seconds_per_calibration"]
          / fast["seconds_per_calibration"]),
@@ -915,20 +905,12 @@ def check_hotpath(payload: dict, min_calibration_speedup: float,
                 f"summary.{key} is {summary[key]} but the entries give "
                 f"{value:.3f}")
 
-    # Hard checks: the fast paths must be bit-identical to their scalar
-    # fallbacks, and never slower than them.
-    if not identity["calibration_identical"]:
-        problems.append(
-            "fast-path calibration parameters diverged from the scalar "
-            "fallback — vectorization identity regressed")
+    # Hard check: replayed cost programs must land the search on the
+    # design full planning finds.
     if not identity["design_identical"]:
         problems.append(
             "recost design search diverged from full planning — the "
             "plan-shape cache replayed a wrong cost")
-    if summary["calibration_speedup"] < 1.0:
-        problems.append(
-            f"the fast calibration path is {summary['calibration_speedup']}"
-            f"x the scalar fallback — slower than the code it replaced")
     # Tunable gates.
     if summary["calibration_speedup_vs_baseline"] < min_calibration_speedup:
         problems.append(
@@ -950,8 +932,7 @@ def check_hotpath(payload: dict, min_calibration_speedup: float,
 def summarize_hotpath(payload: dict) -> str:
     summary = payload["summary"]
     return (f"calibration {summary['calibration_speedup_vs_baseline']}x vs "
-            f"baseline ({summary['calibration_speedup']}x vs scalar), "
-            f"recost {summary['recost_speedup']}x, 4-worker grid "
+            f"baseline, recost {summary['recost_speedup']}x, 4-worker grid "
             f"{summary['grid_speedup_4_workers']}x, identity ok")
 
 

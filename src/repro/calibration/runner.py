@@ -33,9 +33,9 @@ count) and replays it on later calibrations instead of re-executing,
 sharing the buffer-pool warmup across all calibrations that land on the
 same pool size. Only the *execution* is shared: every calibration still
 times the trace through its own allocation's :class:`VMPerfModel` with
-its own noise and fault streams, so calibrated parameters are
-bit-identical with the cache on or off (``reuse_traces=False`` disables
-it). Replays count on the ``calibration.trace_cache_hits`` counter.
+its own noise and fault streams, so a long-lived runner calibrates the
+parameters a fresh one would. Replays count on the
+``calibration.trace_cache_hits`` counter.
 
 Resilience: measurements run under a :class:`repro.faults.RetryPolicy`.
 Each repetition takes ``policy.trials`` trials, rejects outlier trials
@@ -155,8 +155,7 @@ class CalibrationRunner:
                  noise_sigma: float = 0.0, seed: int = 1234,
                  injector: Optional[FaultInjector] = None,
                  retry_policy: Optional[RetryPolicy] = None,
-                 engine: Optional["EvaluationEngine"] = None,
-                 reuse_traces: bool = True):
+                 engine: Optional["EvaluationEngine"] = None):
         if method not in ("sequential", "lstsq"):
             raise CalibrationError(f"unknown calibration method {method!r}")
         self._machine = machine
@@ -167,7 +166,6 @@ class CalibrationRunner:
         self._injector = injector
         self._policy = retry_policy or RetryPolicy()
         self._engine = engine
-        self._reuse_traces = reuse_traces
         # (pool capacity, sort pages, query, repetitions) -> the
         # executed work of each repetition; see "Execute once, replay
         # many" in the module docstring. Entries are treated read-only.
@@ -347,15 +345,14 @@ class CalibrationRunner:
         survivors is the repetition's measured time, so an injected
         outlier (or a noise spike) cannot poison the design row.
 
-        With ``reuse_traces`` on, the execution phase (cold restart,
-        priming run, measured runs) happens only the first time this
-        (pool size, query) combination is seen; later calibrations
-        replay the recorded design rows and traces and pay only for the
-        per-allocation timing.
+        The execution phase (cold restart, priming run, measured runs)
+        happens only the first time this (pool size, query) combination
+        is seen; later calibrations replay the recorded design rows and
+        traces and pay only for the per-allocation timing.
         """
         db = self._database
         key = (db.buffer_pool.capacity, db.sort_mem_pages, name, repetitions)
-        executions = self._trace_cache.get(key) if self._reuse_traces else None
+        executions = self._trace_cache.get(key)
         if executions is None:
             db.cold_restart()
             db.run_plan(build_plan(db))  # unmeasured priming execution
@@ -365,8 +362,7 @@ class CalibrationRunner:
                 result = db.run_plan(plan)
                 executions.append(
                     (self._design_row(plan, result.trace, db), result.trace))
-            if self._reuse_traces:
-                self._trace_cache[key] = executions
+            self._trace_cache[key] = executions
         else:
             metrics.counter("calibration.trace_cache_hits").inc()
         measurement: Optional[CalibrationMeasurement] = None

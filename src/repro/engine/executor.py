@@ -5,7 +5,10 @@ while charging every unit of work to a :class:`WorkTrace`: page
 requests go through the buffer pool (which decides hit vs sequential or
 random read), tuples and predicate steps are charged at the rates in
 :mod:`repro.engine.trace`, sorts spill to simulated temp files when the
-input exceeds sort memory.
+input exceeds sort memory. The trace a plan produces is defined by
+row-by-row charging order; operators count their per-row steps and
+charge them through :meth:`WorkTrace.add_cpu_repeated`, which lands on
+the double those additions would.
 
 Operators materialize their outputs as lists of tuples. At the scales
 this library runs (TPC-H scale factors well below 0.1) materialization
@@ -15,9 +18,8 @@ is cheaper than iterator plumbing and makes the accounting exact.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.engine.bufferpool import BufferPool
 from repro.engine.catalog import Catalog
@@ -54,32 +56,6 @@ from repro.engine.types import Value
 from repro.obs import metrics
 from repro.util.errors import PlanningError
 from repro.util.units import PAGE_SIZE
-
-#: When true (the default), operators charge per-tuple CPU work in
-#: batches — one multiply per page/input instead of one addition per
-#: row — whenever :meth:`WorkTrace.can_batch_cpu` guarantees the batch
-#: lands on the identical float. The scalar path is kept both as the
-#: exactness fallback and as the reference the property tests compare
-#: against (see :func:`scalar_fallback`).
-FAST_PATH = True
-
-
-@contextmanager
-def scalar_fallback() -> Iterator[None]:
-    """Force per-row (unbatched) trace charging within the block.
-
-    Used by the bit-identity property tests and the hot-path benchmark
-    to run the reference scalar executor; restores the previous mode on
-    exit. Affects this process only — parallel workers inherit the
-    default.
-    """
-    global FAST_PATH
-    previous = FAST_PATH
-    FAST_PATH = False
-    try:
-        yield
-    finally:
-        FAST_PATH = previous
 
 
 @dataclass
@@ -223,24 +199,17 @@ class Executor:
         predicate = _bind_optional(plan.filter_expr, plan.layout)
         eval_ctx = EvalContext()
         out: List[tuple] = []
-        batched = FAST_PATH and trace.can_batch_cpu()
         for page in heap.pages():
             pool.access(heap.file_id, page.page_no, trace,
                         sequential=True, bypass=use_ring)
             trace.add_cpu(CPU_PAGE_PROCESS_UNITS)
             rows = page.rows
-            if batched:
-                trace.add_tuples(len(rows), CPU_TUPLE_UNITS)
-                if predicate is None:
-                    out.extend(rows)
-                else:
-                    for row in rows:
-                        if predicate.eval(row, eval_ctx) is True:
-                            out.append(row)
+            trace.add_tuples(len(rows), CPU_TUPLE_UNITS)
+            if predicate is None:
+                out.extend(rows)
             else:
                 for row in rows:
-                    trace.add_tuples(1, CPU_TUPLE_UNITS)
-                    if predicate is None or predicate.eval(row, eval_ctx) is True:
+                    if predicate.eval(row, eval_ctx) is True:
                         out.append(row)
         self._ctx.charge_eval(eval_ctx)
         return out
@@ -265,8 +234,6 @@ class Executor:
         eval_ctx = EvalContext()
         out: List[tuple] = []
         per_tuple_units = CPU_INDEX_TUPLE_UNITS + CPU_TUPLE_UNITS
-        batched = FAST_PATH and trace.can_batch_cpu()
-        fetched = 0
 
         for page_no in tree.descend_pages(plan.low):
             pool.access(tree.file_id, page_no, trace, sequential=False)
@@ -277,18 +244,14 @@ class Executor:
             if leaf_page != last_leaf:
                 pool.access(tree.file_id, leaf_page, trace, sequential=False)
                 last_leaf = leaf_page
+            # Charged per fetch: the buffer-hit charges of the page
+            # accesses above fall between consecutive tuples.
             pool.access(heap.file_id, rid.page_no, trace, sequential=False)
-            if batched:
-                fetched += 1
-            else:
-                trace.add_tuples(1, per_tuple_units)
-                trace.index_tuples += 1
+            trace.add_tuples(1, per_tuple_units)
+            trace.index_tuples += 1
             row = heap.fetch(rid)
             if predicate is None or predicate.eval(row, eval_ctx) is True:
                 out.append(row)
-        if batched and fetched:
-            trace.add_tuples(fetched, per_tuple_units)
-            trace.index_tuples += fetched
         self._ctx.charge_eval(eval_ctx)
         return out
 
@@ -304,40 +267,30 @@ class Executor:
         outer_keys = [k.bind(plan.outer.layout) for k in plan.outer_keys]
         inner_keys = [k.bind(plan.inner.layout) for k in plan.inner_keys]
         residual = _bind_optional(
-            plan.residual,
-            plan.outer.layout.concat(plan.inner.layout)
-            if plan.join_type in (JoinType.INNER, JoinType.LEFT)
-            else plan.outer.layout.concat(plan.inner.layout),
-        )
+            plan.residual, plan.outer.layout.concat(plan.inner.layout))
 
-        batched = FAST_PATH and trace.can_batch_cpu()
-        if batched:
-            trace.add_cpu((len(inner_rows) + len(outer_rows)) * CPU_HASH_UNITS)
-        match_steps = 0
-
-        # Build phase on the inner side.
+        # Build phase on the inner side: one hash charge per row.
+        trace.add_cpu_repeated(len(inner_rows), CPU_HASH_UNITS)
         table: Dict[tuple, List[tuple]] = {}
         for row in inner_rows:
             key = tuple(k.eval(row, eval_ctx) for k in inner_keys)
-            if not batched:
-                trace.add_cpu(CPU_HASH_UNITS)
             if any(part is None for part in key):
                 continue  # NULL keys never join
             table.setdefault(key, []).append(row)
 
+        # Probe phase: a hash charge per outer row, then a step per
+        # candidate match. The two rates alternate, so they are summed
+        # in that order in a local and stored back once.
+        cpu = trace.cpu_units
         null_inner = (None,) * len(plan.inner.layout)
         out: List[tuple] = []
         for row in outer_rows:
             key = tuple(k.eval(row, eval_ctx) for k in outer_keys)
-            if not batched:
-                trace.add_cpu(CPU_HASH_UNITS)
+            cpu += CPU_HASH_UNITS
             matches = [] if any(part is None for part in key) else table.get(key, [])
             matched = False
             for inner_row in matches:
-                if batched:
-                    match_steps += 1
-                else:
-                    trace.add_cpu(CPU_OPERATOR_UNITS)
+                cpu += CPU_OPERATOR_UNITS
                 if residual is not None:
                     combined = row + inner_row
                     if residual.eval(combined, eval_ctx) is not True:
@@ -353,8 +306,7 @@ class Executor:
                 out.append(row)
             elif plan.join_type is JoinType.LEFT and not matched:
                 out.append(row + null_inner)
-        if batched and match_steps:
-            trace.add_cpu(match_steps * CPU_OPERATOR_UNITS)
+        trace.cpu_units = cpu
         self._ctx.charge_eval(eval_ctx)
         return out
 
@@ -368,15 +320,11 @@ class Executor:
         predicate = _bind_optional(plan.predicate, combined_layout)
         null_inner = (None,) * len(plan.inner.layout)
         out: List[tuple] = []
-        batched = FAST_PATH and trace.can_batch_cpu()
         pairs_examined = 0
         for row in outer_rows:
             matched = False
             for inner_row in inner_rows:
-                if batched:
-                    pairs_examined += 1
-                else:
-                    trace.add_cpu(CPU_OPERATOR_UNITS)
+                pairs_examined += 1
                 combined = row + inner_row
                 if predicate is not None and predicate.eval(combined, eval_ctx) is not True:
                     continue
@@ -391,8 +339,7 @@ class Executor:
                 out.append(row)
             elif plan.join_type is JoinType.LEFT and not matched:
                 out.append(row + null_inner)
-        if batched and pairs_examined:
-            trace.add_cpu(pairs_examined * CPU_OPERATOR_UNITS)
+        trace.add_cpu_repeated(pairs_examined, CPU_OPERATOR_UNITS)
         self._ctx.charge_eval(eval_ctx)
         return out
 
@@ -408,15 +355,11 @@ class Executor:
         out: List[tuple] = []
         i = j = 0
         n_outer, n_inner = len(outer_rows), len(inner_rows)
-        batched = FAST_PATH and trace.can_batch_cpu()
         steps = 0
         while i < n_outer and j < n_inner:
             ok = outer_key.eval(outer_rows[i], eval_ctx)
             ik = inner_key.eval(inner_rows[j], eval_ctx)
-            if batched:
-                steps += 1
-            else:
-                trace.add_cpu(CPU_OPERATOR_UNITS)
+            steps += 1
             if ok is None:
                 i += 1
                 continue
@@ -441,16 +384,12 @@ class Executor:
                     if k != ok:
                         break
                     for jj in range(j, j_end):
-                        if batched:
-                            steps += 1
-                        else:
-                            trace.add_cpu(CPU_OPERATOR_UNITS)
+                        steps += 1
                         out.append(outer_rows[i_run] + inner_rows[jj])
                     i_run += 1
                 i = i_run
                 j = j_end
-        if batched and steps:
-            trace.add_cpu(steps * CPU_OPERATOR_UNITS)
+        trace.add_cpu_repeated(steps, CPU_OPERATOR_UNITS)
         self._ctx.charge_eval(eval_ctx)
         return out
 
@@ -499,17 +438,15 @@ class Executor:
 
         per_row_units = (CPU_HASH_UNITS
                          + CPU_AGG_TRANSITION_UNITS * max(1, len(plan.aggregates)))
-        batched = FAST_PATH and trace.can_batch_cpu()
-        if batched and rows:
-            trace.add_cpu(len(rows) * per_row_units)
+        trace.add_cpu_repeated(len(rows), per_row_units)
 
         groups: Dict[tuple, List[_AggState]] = {}
         order: List[tuple] = []
-        if (batched and rows and not group_keys
+        if (rows and not group_keys
                 and all(spec.func is AggFunc.COUNT_STAR
                         for spec in plan.aggregates)):
-            # Global COUNT(*) fast path: no keys to evaluate, no args to
-            # feed — the whole input collapses to one count per state.
+            # Global COUNT(*): no keys to evaluate, no args to feed —
+            # the whole input collapses to one count per state.
             states = [_AggState(spec.func, spec.distinct)
                       for spec in plan.aggregates]
             for state in states:
@@ -519,8 +456,6 @@ class Executor:
         else:
             for row in rows:
                 key = tuple(k.eval(row, eval_ctx) for k in group_keys)
-                if not batched:
-                    trace.add_cpu(per_row_units)
                 states = groups.get(key)
                 if states is None:
                     states = [_AggState(spec.func, spec.distinct)
@@ -554,18 +489,8 @@ class Executor:
         trace = self._ctx.trace
         eval_ctx = EvalContext()
         predicate = plan.predicate.bind(plan.input.layout)
-        out = []
-        if FAST_PATH and trace.can_batch_cpu():
-            if rows:
-                trace.add_cpu(len(rows) * CPU_OPERATOR_UNITS)
-            for row in rows:
-                if predicate.eval(row, eval_ctx) is True:
-                    out.append(row)
-        else:
-            for row in rows:
-                trace.add_cpu(CPU_OPERATOR_UNITS)
-                if predicate.eval(row, eval_ctx) is True:
-                    out.append(row)
+        trace.add_cpu_repeated(len(rows), CPU_OPERATOR_UNITS)
+        out = [row for row in rows if predicate.eval(row, eval_ctx) is True]
         self._ctx.charge_eval(eval_ctx)
         return out
 

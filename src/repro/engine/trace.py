@@ -49,7 +49,7 @@ CPU_BUFFER_HIT_UNITS = 25.0
 CPU_PAGE_PROCESS_UNITS = 180.0
 
 #: Ceiling under which double-precision floats represent every integer
-#: exactly; batched CPU charging is only used below it.
+#: exactly (see :meth:`WorkTrace.add_cpu_repeated`).
 EXACT_CPU_LIMIT = float(2**53)
 
 
@@ -84,25 +84,31 @@ class WorkTrace:
             raise ValueError("cannot charge negative CPU work")
         self.cpu_units += units
 
-    def can_batch_cpu(self) -> bool:
-        """Whether charging ``n * units`` once equals ``n`` unit charges.
+    def add_cpu_repeated(self, n: int, units: float) -> None:
+        """Charge *units* *n* consecutive times.
 
-        Every unit constant in this module is an integer-valued float,
-        so as long as the accumulator holds an exact integer below
-        :data:`EXACT_CPU_LIMIT`, a single multiply-and-add lands on the
-        same double as the per-row addition sequence. Sort comparison
-        charges are the one non-integral source; after one of those the
-        executor's batched fast paths fall back to scalar charging so
-        traces stay bit-identical either way.
+        Operators count their per-row steps and charge them here. The
+        result is the double the *n* additions land on: while the
+        accumulator, *units* and the total are integers below
+        :data:`EXACT_CPU_LIMIT` every partial sum is exact, so one
+        multiply-and-add gets there; otherwise (a sort's fractional
+        comparison charge came first) the additions are performed.
         """
-        return self.cpu_units < EXACT_CPU_LIMIT and self.cpu_units.is_integer()
+        if n < 0 or units < 0:
+            raise ValueError("cannot charge negative CPU work")
+        cpu = self.cpu_units
+        total = cpu + n * units
+        if total < EXACT_CPU_LIMIT and cpu.is_integer() and units.is_integer():
+            self.cpu_units = total
+        else:
+            for _ in range(n):
+                cpu += units
+            self.cpu_units = cpu
 
     def add_tuples(self, n: int, units_per_tuple: float = CPU_TUPLE_UNITS) -> None:
-        """Charge per-tuple CPU work for *n* tuples."""
-        if n < 0:
-            raise ValueError("cannot process a negative tuple count")
+        """Count *n* tuples and charge each its per-tuple CPU work."""
+        self.add_cpu_repeated(n, units_per_tuple)
         self.tuples_processed += n
-        self.cpu_units += n * units_per_tuple
 
     def add_seq_read(self, pages: int = 1) -> None:
         """Record *pages* sequential page reads from disk."""

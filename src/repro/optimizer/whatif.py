@@ -31,7 +31,6 @@ re-optimization the what-if mode performs across a design run.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -41,29 +40,6 @@ from repro.obs import metrics
 from repro.optimizer.params import OptimizerParameters
 from repro.optimizer.planner import Planner
 from repro.optimizer.recost import CostProgram, PlanCostRecorder
-
-#: Module-level switch for the optimize-once/re-cost-many fast path.
-#: With it off, every estimate plans fully and no program is compiled
-#: or replayed — the reference path the fast path must match bit for
-#: bit. Flip it through :func:`full_planning_fallback`, not directly.
-FAST_PATH = True
-
-
-@contextlib.contextmanager
-def full_planning_fallback():
-    """Run with program compilation and replay disabled.
-
-    The benchmark harness (``scripts/bench_hotpath.py``) and the
-    property suite use this to prove the replayed costs are
-    bit-identical to full re-planning; it is not a tuning knob.
-    """
-    global FAST_PATH
-    prior = FAST_PATH
-    FAST_PATH = False
-    try:
-        yield
-    finally:
-        FAST_PATH = prior
 
 
 @dataclass
@@ -131,7 +107,7 @@ class WhatIfOptimizer:
             return cached
 
         program_key = (sql, fingerprint)
-        program = self._programs.get(program_key) if FAST_PATH else None
+        program = self._programs.get(program_key)
         if program is not None:
             # Replay the recorded cost expression under the current P —
             # bit-identical to re-planning, without building a plan.
@@ -150,8 +126,8 @@ class WhatIfOptimizer:
 
         metrics.counter("optimizer.whatif.estimates").inc()
         planner = Planner(self._catalog, self._params)
-        if not FAST_PATH or program_key in self._programs:
-            # Fallback mode, or known non-compilable: plan fully.
+        if program_key in self._programs:
+            # Known non-compilable: its plan structure depends on P.
             plan = planner.plan_sql(sql)
         else:
             recorder = PlanCostRecorder()

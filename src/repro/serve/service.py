@@ -144,7 +144,7 @@ class _CatalogEntry:
 
 
 def _empty_replay() -> Dict[str, Any]:
-    return {"recalibrations": {}, "incumbents": {}, "units": 0}
+    return {"recalibrations": {}, "incumbents": {}}
 
 
 class DesignService:
@@ -623,10 +623,7 @@ class DesignService:
         record = {
             "design_seq": seq,
             "tier": tier,
-            "allocation": {
-                name: list(design.allocation.vector_for(name).as_tuple())
-                for name in design.allocation.workload_names()
-            },
+            "allocation": design.allocation.as_record(),
             "predicted_total_cost": design.predicted_total_cost,
             "repeats": {name: count for name, count in sorted(
                 repeats.items()) if count > 0},

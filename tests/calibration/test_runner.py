@@ -7,7 +7,13 @@ amortizes the synthetic database build.
 
 import pytest
 
+from repro import obs
 from repro.calibration import CalibrationRunner
+from repro.calibration.synthetic import (
+    HUGE_TABLE,
+    SMALL_TABLE,
+    CalibrationWorkbench,
+)
 from repro.util.errors import CalibrationError
 from repro.virt.resources import ResourceVector
 
@@ -81,3 +87,33 @@ class TestLstsqProtocol:
     def test_unknown_method_rejected(self, lab_machine):
         with pytest.raises(CalibrationError):
             CalibrationRunner(lab_machine, method="magic")
+
+
+class TestExecutionReplay:
+    """A long-lived runner replays executions a fresh runner must redo."""
+
+    @pytest.mark.parametrize("method", ["sequential", "lstsq"])
+    def test_long_lived_runner_matches_a_fresh_runner_per_allocation(
+            self, lab_machine, method):
+        def runner():
+            return CalibrationRunner(
+                lab_machine, method=method,
+                workbench=CalibrationWorkbench(rows={
+                    SMALL_TABLE: 200, "cal_scan_a": 1000, "cal_scan_b": 2000,
+                    "cal_scan_c": 3000, HUGE_TABLE: 4000}))
+
+        def hits():
+            return obs.get_registry().value("calibration.trace_cache_hits")
+
+        # One memory share, so one pool size: only the first allocation
+        # executes anything on the long-lived runner.
+        allocations = [alloc(cpu=0.25), alloc(), alloc(cpu=0.75, io=0.25)]
+        before = hits()
+        long_lived = runner()
+        replayed = [long_lived.parameters_for(a) for a in allocations]
+        assert hits() > before
+
+        before = hits()
+        fresh = [runner().parameters_for(a) for a in allocations]
+        assert hits() == before
+        assert replayed == fresh

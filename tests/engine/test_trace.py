@@ -26,6 +26,30 @@ class TestCharging:
         trace.add_tuples(5, 2.0)
         assert trace.cpu_units == 10.0
 
+    def test_add_cpu_repeated_on_integers_is_one_multiply(self):
+        trace = WorkTrace(cpu_units=2000.0)
+        trace.add_cpu_repeated(1000, 45.0)
+        assert trace.cpu_units == 47000.0
+        trace.add_cpu_repeated(0, 12.0)
+        assert trace.cpu_units == 47000.0
+
+    def test_add_cpu_repeated_on_a_fraction_lands_where_the_additions_do(self):
+        # A start where the sum of 100 additions and the single
+        # multiply-and-add round to different doubles.
+        start, n, units = 1 / 3, 100, 120.0
+        expected = start
+        for _ in range(n):
+            expected += units
+        assert expected != start + n * units
+        trace = WorkTrace(cpu_units=start)
+        trace.add_cpu_repeated(n, units)
+        assert trace.cpu_units == expected
+
+    @pytest.mark.parametrize("n, units", [(-1, 12.0), (1, -12.0)])
+    def test_negative_repeated_charge_rejected(self, n, units):
+        with pytest.raises(ValueError):
+            WorkTrace().add_cpu_repeated(n, units)
+
     def test_buffer_hit_charges_cpu(self):
         trace = WorkTrace()
         trace.add_buffer_hit(3)
