@@ -27,8 +27,7 @@ contender plus a ``summary`` with ``closed_loop_gain``
 (1 - closed/open measured cost; > 0 means the loop beat going stale)
 and ``reconvergence_gap`` (closed/oracle - 1; >= 0, smaller is
 better). ``scripts/check_bench.py`` validates the schema and gates on
-``closed_loop_gain > 0`` and ``0 <= reconvergence_gap <=
---max-reconvergence-gap``.
+``closed_loop_gain > 0`` and ``0 <= reconvergence_gap <= 0.25``.
 
 Run with ``PYTHONPATH=src python scripts/bench_drift.py [--smoke]``;
 ``--smoke`` shrinks the TPC-H scale factor (the degradation

@@ -20,7 +20,7 @@ and one ``fleet`` entry plus a ``summary`` with ``improvement``
 (1 - fleet/round-robin; > 0 means the fleet design wins, a hard check)
 and ``reassignment_gain`` (1 - final/initial; what the reroute loop
 recovered beyond the initial clustered placement, gated by
-``check_bench.py --min-reassignment-gain``). The recorded trajectory
+``check_bench.py`` at 0.1). The recorded trajectory
 must be monotonically non-increasing — the designer only accepts
 strictly improving moves.
 

@@ -35,9 +35,8 @@ Two timed sections:
 Writes ``benchmarks/results/BENCH_hotpath.json`` (suite ``hotpath``);
 ``scripts/check_bench.py`` validates the schema, re-derives every
 summary number, hard-fails on an identity break, and gates the
-calibration speedup vs the surrogate baseline (``--min-calibration-
-speedup``) and the 4-worker grid speedup on multi-core hosts
-(``--min-grid-speedup``).
+calibration speedup vs the surrogate baseline and the 4-worker grid
+speedup on multi-core hosts (thresholds in ``docs/benchmarks.md``).
 
 Run with ``PYTHONPATH=src python scripts/bench_hotpath.py [--smoke]``;
 ``--smoke`` shrinks the allocation list and the search grid for CI.

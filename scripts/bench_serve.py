@@ -23,9 +23,9 @@ its units and resumed; the resumed response stream must be
 bit-identical to the uninterrupted one (``summary.resume_identical``).
 
 Writes ``benchmarks/results/BENCH_serve.json``; ``scripts/check_bench.py``
-validates the schema, enforces the hard checks above, and gates on
-``--max-serve-p99``, ``--max-shed-rate``, and
-``--max-degraded-fraction``.
+validates the schema, enforces the hard checks above, and gates the
+rated session's p99, shed rate and degraded fraction (thresholds in
+``docs/benchmarks.md``).
 
 Run with ``PYTHONPATH=src python scripts/bench_serve.py [--smoke]``;
 ``--smoke`` shrinks the TPC-H scale and the trace length (admission,

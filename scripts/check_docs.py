@@ -18,7 +18,10 @@ Checks, over README.md, DESIGN.md, EXPERIMENTS.md, and docs/*.md:
   backticked ``scripts/*.py`` mentioned in ``EXPERIMENTS.md`` or
   ``docs/*.md`` exists, so the experiments page cannot cite artifacts
   that were never generated (``*`` globs must match at least one
-  file).
+  file);
+* the file table of ``docs/benchmarks.md`` is ``check_bench.py``'s
+  ``SUITES``: every suite has a row naming its result file and script,
+  and no row names an unregistered one.
 
 Run directly (``python scripts/check_docs.py``) or through the test
 suite (``tests/docs/test_docs_lint.py``); exits non-zero and prints one
@@ -27,6 +30,7 @@ line per problem when anything is broken.
 
 from __future__ import annotations
 
+import importlib.util
 import pathlib
 import re
 import sys
@@ -45,6 +49,10 @@ _MODULE_REF = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z_0-9]*)+)`")
 _RESULT_REF = re.compile(
     r"`(?:benchmarks/results/)?([A-Za-z0-9_*]+\.(?:txt|json))`")
 _SCRIPT_REF = re.compile(r"`(scripts/[A-Za-z0-9_]+\.py)`")
+#: A row of the ``docs/benchmarks.md`` file table.
+_BENCH_ROW = re.compile(
+    r"^\| `(BENCH_[A-Za-z0-9_]+\.json)` \| `(scripts/[A-Za-z0-9_]+\.py)` \|",
+    re.MULTILINE)
 _EXTERNAL = ("http://", "https://", "mailto:")
 
 
@@ -130,6 +138,30 @@ def _check_module_refs(errors: List[str]) -> None:
                               f"not found under src/")
 
 
+def _bench_suites() -> dict:
+    """``SUITES`` of the ``check_bench.py`` next to this script."""
+    spec = importlib.util.spec_from_file_location(
+        "check_bench", pathlib.Path(__file__).with_name("check_bench.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SUITES
+
+
+def _check_bench_table(errors: List[str]) -> None:
+    doc = REPO_ROOT / "docs" / "benchmarks.md"
+    if not doc.exists():
+        return
+    rows = set(_BENCH_ROW.findall(doc.read_text()))
+    suites = {(suite.file, suite.script)
+              for suite in _bench_suites().values()}
+    errors.extend(f"docs/benchmarks.md: file table has no row for "
+                  f"`{file}` | `{script}`, a suite of scripts/check_bench.py"
+                  for file, script in sorted(suites - rows))
+    errors.extend(f"docs/benchmarks.md: file table row `{file}` | `{script}` "
+                  f"is no suite of scripts/check_bench.py"
+                  for file, script in sorted(rows - suites))
+
+
 def main() -> int:
     errors: List[str] = []
     for path in _doc_paths():
@@ -138,6 +170,7 @@ def main() -> int:
         _check_wiki_links(path, text, errors)
         _check_artifact_refs(path, text, errors)
     _check_module_refs(errors)
+    _check_bench_table(errors)
     for line in errors:
         print(line)
     if not errors:

@@ -71,3 +71,29 @@ def test_wiki_and_anchor_links_resolve(tmp_path, monkeypatch):
     )
     monkeypatch.setattr(checker, "REPO_ROOT", tmp_path)
     assert checker.main() == 0
+
+
+def test_benchmarks_file_table_is_held_to_the_suites_table(tmp_path,
+                                                           monkeypatch):
+    checker = _load_checker()
+    suites = checker._bench_suites()
+    rows = [f"| `{suite.file}` | `{suite.script}` | question |"
+            for suite in suites.values()]
+    (tmp_path / "docs").mkdir()
+    page = tmp_path / "docs" / "benchmarks.md"
+    monkeypatch.setattr(checker, "REPO_ROOT", tmp_path)
+
+    page.write_text("\n".join(rows) + "\n")
+    errors = []
+    checker._check_bench_table(errors)
+    assert errors == []
+
+    stray = "| `BENCH_x.json` | `scripts/bench_x.py` | unregistered |"
+    page.write_text("\n".join(rows[1:] + [stray]) + "\n")
+    checker._check_bench_table(errors)
+    first = next(iter(suites.values()))
+    assert errors == [
+        f"docs/benchmarks.md: file table has no row for `{first.file}` | "
+        f"`{first.script}`, a suite of scripts/check_bench.py",
+        "docs/benchmarks.md: file table row `BENCH_x.json` | "
+        "`scripts/bench_x.py` is no suite of scripts/check_bench.py"]
