@@ -230,7 +230,12 @@ class CalibrationCache:
                 ))
             return params
         assert last_error is not None
-        raise last_error
+        try:
+            raise last_error
+        finally:
+            # The error's traceback holds this frame: drop the frame's
+            # reference so the runner frames it reaches die by refcount.
+            last_error = None
 
     def _fall_back(self, key: Tuple[float, float, float],
                    error: CalibrationError) -> OptimizerParameters:

@@ -8,7 +8,7 @@ from typing import Dict, List, Optional
 from repro.engine.index import BPlusTreeIndex, HypotheticalIndex
 from repro.engine.schema import TableSchema
 from repro.engine.statistics import TableStats, analyze_table
-from repro.engine.storage import HeapFile
+from repro.engine.storage import HeapFile, RecordId
 from repro.util.errors import CatalogError
 
 
@@ -85,11 +85,12 @@ class Catalog:
                 raise CatalogError(f"index {index_name!r} already exists")
         col_pos = info.schema.column_index(column_name)
         key_width = info.schema.columns[col_pos].avg_width
-        entries = (
-            (row[col_pos], rid)
-            for rid, row in info.heap.scan_rids()
+        entries = [
+            (row[col_pos], RecordId(page.page_no, slot))
+            for page in info.heap.pages()
+            for slot, row in enumerate(page.rows)
             if row[col_pos] is not None
-        )
+        ]
         tree = BPlusTreeIndex.bulk_load(
             index_name, table_name, column_name, entries,
             key_width=key_width, unique=unique,

@@ -12,6 +12,7 @@ out must be tuned together.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Optional, Sequence
 
 from repro.engine.bufferpool import BufferPool
@@ -19,7 +20,9 @@ from repro.engine.catalog import Catalog
 from repro.engine.executor import ExecutionContext, Executor
 from repro.engine.plans import PlanNode
 from repro.engine.schema import TableSchema
+from repro.engine.storage import RecordId
 from repro.engine.trace import WorkTrace
+from repro.util.errors import StorageError
 
 #: Fraction of database memory given to the buffer pool; the rest backs
 #: per-query sort/hash work memory.
@@ -85,27 +88,36 @@ class Database:
     def load_rows(self, table_name: str, rows) -> int:
         """Bulk load rows into a table; returns the count loaded.
 
-        Existing indexes on the table are maintained (loading before
-        creating indexes is still preferable — bulk-loaded trees pack
-        better than insert-built ones).
+        All or nothing: rows are validated and unique keys checked
+        against the batch and the existing indexes before the heap or
+        any index changes. Existing indexes are then maintained by
+        insertion (loading before creating indexes is still preferable —
+        bulk-loaded trees pack better than insert-built ones).
         """
         info = self.catalog.table(table_name)
-        indexes = list(info.indexes.values())
-        if not indexes:
-            return info.heap.bulk_load(rows)
-        count = 0
-        positions = {
-            index.name: info.schema.column_index(index.column_name)
-            for index in indexes
-        }
-        for row in rows:
-            rid = info.heap.append(row)
-            for index in indexes:
-                key = row[positions[index.name]]
-                if key is not None:
-                    index.index.insert(key, rid)
-            count += 1
-        return count
+        heap = info.heap
+        batch = list(map(tuple, rows))
+        indexes = [(index.index, info.schema.column_index(index.column_name))
+                   for index in info.indexes.values() if not index.hypothetical]
+        if indexes:
+            info.schema.validate_rows(batch)
+        for tree, pos in indexes:
+            if not tree.unique:
+                continue
+            seen = set()
+            for key in map(itemgetter(pos), batch):
+                if key is not None and (key in seen or tree.search(key)[0]):
+                    raise StorageError(
+                        f"duplicate key {key!r} in unique index {tree.name!r}")
+                seen.add(key)
+        first = heap.n_rows
+        heap.bulk_load(batch)
+        per_page = heap.rows_per_page()
+        for tree, pos in indexes:
+            for row_no, row in enumerate(batch, first):
+                if row[pos] is not None:
+                    tree.insert(row[pos], RecordId(*divmod(row_no, per_page)))
+        return len(batch)
 
     def create_index(self, index_name: str, table_name: str,
                      column_name: str, unique: bool = False) -> None:

@@ -132,31 +132,37 @@ class Executor:
         def resolve_optional(expr: Optional[Expr]) -> Optional[Expr]:
             return resolve(expr) if expr is not None else None
 
-        for node in walk(plan):
-            if isinstance(node, (SeqScan, IndexScan)):
-                node.filter_expr = resolve_optional(node.filter_expr)
-            elif isinstance(node, HashJoin):
-                node.outer_keys = [resolve(k) for k in node.outer_keys]
-                node.inner_keys = [resolve(k) for k in node.inner_keys]
-                node.residual = resolve_optional(node.residual)
-            elif isinstance(node, NestedLoopJoin):
-                node.predicate = resolve_optional(node.predicate)
-            elif isinstance(node, MergeJoin):
-                node.outer_key = resolve(node.outer_key)
-                node.inner_key = resolve(node.inner_key)
-            elif isinstance(node, Sort):
-                for key in node.keys:
-                    key.expr = resolve(key.expr)
-            elif isinstance(node, Aggregate):
-                node.group_keys = [resolve(k) for k in node.group_keys]
-                for spec in node.aggregates:
-                    if spec.arg is not None:
-                        spec.arg = resolve(spec.arg)
-                node.having = resolve_optional(node.having)
-            elif isinstance(node, Filter):
-                node.predicate = resolve(node.predicate)
-            elif isinstance(node, Project):
-                node.exprs = [resolve(e) for e in node.exprs]
+        try:
+            for node in walk(plan):
+                if isinstance(node, (SeqScan, IndexScan)):
+                    node.filter_expr = resolve_optional(node.filter_expr)
+                elif isinstance(node, HashJoin):
+                    node.outer_keys = [resolve(k) for k in node.outer_keys]
+                    node.inner_keys = [resolve(k) for k in node.inner_keys]
+                    node.residual = resolve_optional(node.residual)
+                elif isinstance(node, NestedLoopJoin):
+                    node.predicate = resolve_optional(node.predicate)
+                elif isinstance(node, MergeJoin):
+                    node.outer_key = resolve(node.outer_key)
+                    node.inner_key = resolve(node.inner_key)
+                elif isinstance(node, Sort):
+                    for key in node.keys:
+                        key.expr = resolve(key.expr)
+                elif isinstance(node, Aggregate):
+                    node.group_keys = [resolve(k) for k in node.group_keys]
+                    for spec in node.aggregates:
+                        if spec.arg is not None:
+                            spec.arg = resolve(spec.arg)
+                    node.having = resolve_optional(node.having)
+                elif isinstance(node, Filter):
+                    node.predicate = resolve(node.predicate)
+                elif isinstance(node, Project):
+                    node.exprs = [resolve(e) for e in node.exprs]
+        finally:
+            # ``resolve`` refers to itself (and so to this executor and
+            # its catalog) through its closure cell; clearing the cell
+            # lets the whole database die by refcount.
+            del resolve
 
     # -- dispatch -----------------------------------------------------------
 
@@ -520,6 +526,8 @@ class _AggState:
         self.total: float = 0.0
         self.extreme: Optional[Value] = None
         self.seen = False
+        # Membership only, never iterated: the set's hash-salted order
+        # cannot reach a result.
         self.distinct_values: Optional[set] = set() if distinct else None
 
     def update(self, value: Value) -> None:
@@ -562,16 +570,8 @@ def _bind_optional(expr: Optional[Expr], layout) -> Optional[Expr]:
 
 
 def _asc_key(value: Value):
-    from repro.engine.types import Date
-
-    if isinstance(value, Date):
-        value = value.ordinal
     return (value is None, value)
 
 
 def _desc_key(value: Value):
-    from repro.engine.types import Date
-
-    if isinstance(value, Date):
-        value = value.ordinal
     return (value is not None, value)

@@ -423,13 +423,12 @@ class ExtractExpr(Expr):
             return None
         if not isinstance(value, Date):
             raise PlanningError("EXTRACT applied to a non-date value")
-        date = value.to_date()
         if self.unit == "year":
-            return date.year
+            return value.year
         if self.unit == "month":
-            return date.month
+            return value.month
         if self.unit == "day":
-            return date.day
+            return value.day
         raise PlanningError(f"unsupported EXTRACT unit {self.unit!r}")
 
     def _collect_columns(self, out: List[Tuple[str, str]]) -> None:
@@ -522,8 +521,6 @@ def contains_subplan(expr: Optional[Expr]) -> bool:
 
 def _compare(a: Value, b: Value) -> int:
     """Three-way compare of two non-null values."""
-    if isinstance(a, Date) and isinstance(b, Date):
-        return (a.ordinal > b.ordinal) - (a.ordinal < b.ordinal)
     if isinstance(a, bool) or isinstance(b, bool):
         a, b = int(a), int(b)  # type: ignore[arg-type]
     try:

@@ -10,8 +10,9 @@ lookups, and ordered range scans over the leaf chain.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
+from itertools import count, groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.engine.storage import RecordId
@@ -19,7 +20,7 @@ from repro.engine.types import Value
 from repro.util.errors import StorageError
 from repro.util.units import PAGE_SIZE
 
-_index_file_ids = itertools.count(100_000)
+_index_file_ids = count(100_000)
 
 #: Bytes of node overhead per page.
 NODE_HEADER_BYTES = 64
@@ -114,37 +115,36 @@ class BPlusTreeIndex:
                   key_width: int = 8, unique: bool = False) -> "BPlusTreeIndex":
         """Build a tree from (key, rid) pairs; input need not be sorted.
 
+        The sort is stable on the key alone, so a key's rids keep their
+        input order (rid order, as :meth:`Catalog.create_index` scans).
         Leaves are packed to ~90% like a real bulk load, keeping page
         counts realistic for the optimizer's index-size estimates.
         """
         index = cls(name, table_name, column_name, key_width=key_width, unique=unique)
-        pairs = sorted(entries, key=lambda kr: (kr[0] is None, kr[0], kr[1].page_no, kr[1].slot))
-        if not pairs:
-            return index
+        pairs = sorted(entries, key=itemgetter(0))
+        index._n_entries = len(pairs)
+        keys: List[Value] = []
+        rid_lists: List[List[RecordId]] = []
+        for key, group in groupby(pairs, key=itemgetter(0)):
+            keys.append(key)
+            rid_lists.append([rid for _key, rid in group])
+            if unique and len(rid_lists[-1]) > 1:
+                raise StorageError(f"duplicate key {key!r} in unique index {name!r}")
 
         fill = max(2, int(index._fanout * 0.9))
         leaves: List[_Leaf] = []
-        leaf = index._root if isinstance(index._root, _Leaf) else index._new_leaf()
-        leaves.append(leaf)
-        for key, rid in pairs:
-            if unique and leaf.keys and leaf.keys[-1] == key:
-                raise StorageError(
-                    f"duplicate key {key!r} in unique index {name!r}"
-                )
-            if leaf.keys and leaf.keys[-1] == key:
-                leaf.rid_lists[-1].append(rid)
-            else:
-                if len(leaf.keys) >= fill:
-                    new_leaf = index._new_leaf()
-                    leaf.next_leaf = new_leaf
-                    leaves.append(new_leaf)
-                    leaf = new_leaf
-                leaf.keys.append(key)
-                leaf.rid_lists.append([rid])
-            index._n_entries += 1
+        for start in range(0, len(keys), fill):
+            leaf = index._new_leaf() if leaves else index._root
+            leaf.keys = keys[start:start + fill]
+            leaf.rid_lists = rid_lists[start:start + fill]
+            if leaves:
+                leaves[-1].next_leaf = leaf
+            leaves.append(leaf)
+        if not leaves:
+            return index
 
         # Build internal levels bottom-up.
-        level: List[_Node] = list(leaves)
+        level: List[_Node] = leaves
         while len(level) > 1:
             parents: List[_Node] = []
             for start in range(0, len(level), fill):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
 from repro.engine.types import Date, Value
@@ -102,6 +103,21 @@ class TableSchema:
         """Average stored bytes per row, including a small tuple header."""
         header = 24  # tuple header + item pointer, PostgreSQL-ish
         return header + sum(c.avg_width for c in self.columns)
+
+    def validate_rows(self, rows: Sequence[tuple]) -> None:
+        """Raise :class:`CatalogError` naming the first row that does not fit.
+
+        One length test per row and one set of value types per column,
+        with :meth:`Column.accepts`'s ``isinstance`` semantics; the
+        message is :meth:`validate_row`'s for the first bad row.
+        """
+        if set(map(len, rows)) <= {len(self.columns)} and all(
+                issubclass(kind, (type(None), *column.col_type.python_types()))
+                for i, column in enumerate(self.columns)
+                for kind in set(map(type, map(itemgetter(i), rows)))):
+            return
+        for row in rows:
+            self.validate_row(row)
 
     def validate_row(self, row: Sequence[Value]) -> None:
         """Raise :class:`CatalogError` if *row* does not fit this schema."""

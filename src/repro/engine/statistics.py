@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.schema import TableSchema
@@ -225,11 +226,9 @@ def analyze_column(name: str, values: Sequence[Value],
 def analyze_table(heap: HeapFile) -> TableStats:
     """Full-scan ANALYZE of a heap file."""
     schema: TableSchema = heap.schema
-    columns_values: List[List[Value]] = [[] for _ in schema.columns]
-    for page in heap.pages():
-        for row in page.rows:
-            for i, value in enumerate(row):
-                columns_values[i].append(value)
+    rows = [row for page in heap.pages() for row in page.rows]
+    columns_values = [list(map(itemgetter(i), rows))
+                      for i in range(len(schema.columns))]
     stats = TableStats(
         table_name=schema.name,
         n_rows=heap.n_rows,

@@ -1,17 +1,17 @@
 """Paged heap storage.
 
 Tables live in heap files made of fixed-size pages (8 KiB). Rows are
-Python tuples; the page tracks an accounting byte budget so fan-out per
-page matches what a real slotted page of the schema's row width would
-hold. "Disk" is simply the heap file — whether touching a page costs a
-physical read or a buffer hit is decided by the buffer pool.
+Python tuples; every row of a schema has the same accounting width, so a
+page holds exactly :meth:`HeapFile.rows_per_page` of them, the fan-out a
+real slotted page of that row width would have. "Disk" is simply the
+heap file — whether touching a page costs a physical read or a buffer
+hit is decided by the buffer pool.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from repro.engine.schema import TableSchema
 from repro.engine.types import Value
@@ -24,8 +24,7 @@ PAGE_HEADER_BYTES = 64
 _file_ids = itertools.count(1)
 
 
-@dataclass(frozen=True)
-class RecordId:
+class RecordId(NamedTuple):
     """Physical address of a tuple: (page number, slot in page)."""
 
     page_no: int
@@ -38,30 +37,22 @@ class RecordId:
 class Page:
     """One heap page holding whole rows."""
 
-    __slots__ = ("page_no", "rows", "used_bytes")
+    __slots__ = ("page_no", "rows")
 
-    def __init__(self, page_no: int):
+    def __init__(self, page_no: int, rows: List[tuple]):
         self.page_no = page_no
-        self.rows: List[tuple] = []
-        self.used_bytes = PAGE_HEADER_BYTES
-
-    def fits(self, row_bytes: int) -> bool:
-        return self.used_bytes + row_bytes <= PAGE_SIZE
-
-    def append(self, row: tuple, row_bytes: int) -> int:
-        """Add *row*; returns its slot number."""
-        if not self.fits(row_bytes):
-            raise StorageError(f"page {self.page_no} cannot fit a {row_bytes}-byte row")
-        self.rows.append(row)
-        self.used_bytes += row_bytes
-        return len(self.rows) - 1
+        self.rows = rows
 
     def __len__(self) -> int:
         return len(self.rows)
 
 
 class HeapFile:
-    """An append-oriented heap file for one table."""
+    """An append-oriented heap file for one table.
+
+    Every page but the last is full, so row *i* of the file lives at
+    ``RecordId(*divmod(i, rows_per_page()))``.
+    """
 
     def __init__(self, schema: TableSchema):
         self.schema = schema
@@ -80,30 +71,39 @@ class HeapFile:
         return self._n_rows
 
     def rows_per_page(self) -> int:
-        """Nominal fan-out for this schema's average row width."""
-        return max(1, (PAGE_SIZE - PAGE_HEADER_BYTES) // self.schema.row_width)
+        """Rows of this schema's width one page holds."""
+        per_page = (PAGE_SIZE - PAGE_HEADER_BYTES) // self.schema.row_width
+        if per_page < 1:
+            raise StorageError(
+                f"a {self.schema.row_width}-byte row of {self.schema.name!r} "
+                f"does not fit a {PAGE_SIZE}-byte page")
+        return per_page
 
     # -- writes ----------------------------------------------------------------
 
     def append(self, row: Sequence[Value]) -> RecordId:
         """Validate and append one row; returns its record id."""
-        self.schema.validate_row(row)
-        row = tuple(row)
-        row_bytes = self.schema.row_width
-        if not self._pages or not self._pages[-1].fits(row_bytes):
-            self._pages.append(Page(len(self._pages)))
-        page = self._pages[-1]
-        slot = page.append(row, row_bytes)
-        self._n_rows += 1
-        return RecordId(page.page_no, slot)
+        self.bulk_load((row,))
+        return RecordId(*divmod(self._n_rows - 1, self.rows_per_page()))
 
     def bulk_load(self, rows: Iterable[Sequence[Value]]) -> int:
-        """Append many rows; returns the number loaded."""
-        count = 0
-        for row in rows:
-            self.append(row)
-            count += 1
-        return count
+        """Validate and append a batch of rows; returns the number loaded.
+
+        All or nothing: a row that does not fit the schema (or a schema
+        whose rows do not fit a page) raises before any page changes.
+        """
+        per_page = self.rows_per_page()
+        batch = list(map(tuple, rows))
+        self.schema.validate_rows(batch)
+        pages = self._pages
+        start = 0
+        if pages:
+            start = per_page - len(pages[-1].rows)
+            pages[-1].rows.extend(batch[:start])
+        for offset in range(start, len(batch), per_page):
+            pages.append(Page(len(pages), batch[offset:offset + per_page]))
+        self._n_rows += len(batch)
+        return len(batch)
 
     # -- reads -----------------------------------------------------------------
 
@@ -130,8 +130,9 @@ class HeapFile:
     def scan_rids(self) -> Iterator[Tuple[RecordId, tuple]]:
         """All (rid, row) pairs in physical order."""
         for page in self._pages:
+            page_no = page.page_no
             for slot, row in enumerate(page.rows):
-                yield RecordId(page.page_no, slot), row
+                yield RecordId(page_no, slot), row
 
     def __repr__(self) -> str:
         return (

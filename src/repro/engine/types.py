@@ -2,97 +2,64 @@
 
 Values flowing through the engine are plain Python objects: ``int``,
 ``float``, ``str``, ``None`` (SQL NULL), and :class:`Date`. Dates are
-thin wrappers over proleptic-Gregorian day ordinals so comparisons and
-interval arithmetic are integer operations.
+:class:`datetime.date` values, so comparisons, hashing and sorting run
+in C; day arithmetic goes through proleptic-Gregorian day ordinals.
 """
 
 from __future__ import annotations
 
+import calendar
 import datetime
-from functools import total_ordering
 from typing import Union
 
 
-@total_ordering
-class Date:
-    """A calendar date stored as a day ordinal.
+class Date(datetime.date):
+    """A calendar date with the arithmetic TPC-H queries need.
 
-    Supports the arithmetic TPC-H queries need: adding or subtracting
-    day counts and whole months/years (used by ``INTERVAL`` handling in
-    the SQL layer).
+    Adds and subtracts day counts and whole months/years (``INTERVAL``
+    handling in the SQL layer); ``Date - Date`` is a day count. A
+    ``Date`` equals the :class:`datetime.date` with the same value and
+    never equals a number.
     """
 
-    __slots__ = ("_ordinal",)
-
-    def __init__(self, ordinal: int):
-        self._ordinal = int(ordinal)
+    __slots__ = ()
 
     @classmethod
     def parse(cls, text: str) -> "Date":
         """Parse ``YYYY-MM-DD``."""
-        d = datetime.date.fromisoformat(text)
-        return cls(d.toordinal())
+        return cls.fromisoformat(text)
 
     @classmethod
     def from_ymd(cls, year: int, month: int, day: int) -> "Date":
-        return cls(datetime.date(year, month, day).toordinal())
+        return cls(year, month, day)
 
     @property
     def ordinal(self) -> int:
-        return self._ordinal
+        return self.toordinal()
 
     def to_date(self) -> datetime.date:
-        return datetime.date.fromordinal(self._ordinal)
+        return datetime.date(self.year, self.month, self.day)
 
     def add_days(self, days: int) -> "Date":
-        return Date(self._ordinal + days)
+        return Date.fromordinal(self.toordinal() + days)
 
     def add_months(self, months: int) -> "Date":
         """Add whole months, clamping the day to the target month's length."""
-        d = self.to_date()
-        month_index = d.year * 12 + (d.month - 1) + months
-        year, month = divmod(month_index, 12)
-        month += 1
-        day = d.day
-        while True:
-            try:
-                return Date(datetime.date(year, month, day).toordinal())
-            except ValueError:
-                day -= 1
-                if day < 1:  # pragma: no cover - defensive
-                    raise
+        year, month = divmod(self.year * 12 + self.month - 1 + months, 12)
+        last_day = calendar.monthrange(year, month + 1)[1]
+        return Date(year, month + 1, min(self.day, last_day))
 
     def add_years(self, years: int) -> "Date":
         return self.add_months(12 * years)
 
-    @property
-    def year(self) -> int:
-        return self.to_date().year
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Date):
-            return self._ordinal == other._ordinal
-        return NotImplemented
-
-    def __lt__(self, other) -> bool:
-        if isinstance(other, Date):
-            return self._ordinal < other._ordinal
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("Date", self._ordinal))
-
     def __sub__(self, other) -> int:
         """Difference in days."""
         if isinstance(other, Date):
-            return self._ordinal - other._ordinal
+            return self.toordinal() - other.toordinal()
         return NotImplemented
 
-    def __str__(self) -> str:
-        return self.to_date().isoformat()
-
     def __repr__(self) -> str:
-        return f"Date({self.to_date().isoformat()!r})"
+        return f"Date({self.isoformat()!r})"
 
 
 #: A SQL value as represented inside the engine.

@@ -25,6 +25,9 @@ class DeterministicRng:
     def __init__(self, seed: int = 0):
         self._seed = int(seed)
         self._random = random.Random(self._seed)
+        # The draw random.Random.randint/choice make (3.10-3.13), bound
+        # once instead of through their two wrapper layers per call.
+        self._randbelow = self._random._randbelow
 
     @property
     def seed(self) -> int:
@@ -49,7 +52,9 @@ class DeterministicRng:
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in ``[low, high]`` inclusive."""
-        return self._random.randint(low, high)
+        if high < low:
+            raise ValueError(f"empty range for randint({low}, {high})")
+        return low + self._randbelow(high - low + 1)
 
     def uniform(self, low: float, high: float) -> float:
         """Uniform float in ``[low, high)``."""
@@ -61,7 +66,9 @@ class DeterministicRng:
 
     def choice(self, seq):
         """Uniformly pick one element of a non-empty sequence."""
-        return self._random.choice(seq)
+        if not len(seq):
+            raise IndexError("cannot choose from an empty sequence")
+        return seq[self._randbelow(len(seq))]
 
     def sample(self, seq, k: int):
         """Sample *k* distinct elements."""

@@ -79,3 +79,53 @@ class TestDdlAndQueries:
         clone.load_rows("t", [(999, 0, "new")])
         assert len(clone.run_sql("select a from t where a = 999")) == 1
         assert len(db.run_sql("select a from t where a = 999")) == 0
+
+
+class TestAllOrNothingLoadRows:
+    @pytest.fixture
+    def db(self):
+        from repro.engine.schema import Column, ColumnType, TableSchema
+
+        db = Database("d", memory_pages=2048)
+        db.create_table(TableSchema("u", [Column("k", ColumnType.INT),
+                                          Column("v", ColumnType.INT)]))
+        db.load_rows("u", [(k, 0) for k in range(10)])
+        db.create_index("u_k", "u", "k", unique=True)
+        db.create_index("u_v", "u", "v")
+        db.analyze()
+        return db
+
+    def _state(self, db):
+        info = db.catalog.table("u")
+        return (info.heap.n_rows, info.heap.n_pages,
+                [(i.name, i.index.n_entries) for i in info.indexes.values()])
+
+    @pytest.mark.parametrize("batch", [
+        [(100, 0), (3, 0), (101, 0)],    # clashes with the index
+        [(100, 0), (102, 0), (100, 0)],  # clashes within the batch
+    ], ids=["existing", "in-batch"])
+    def test_unique_violation_keeps_nothing(self, db, batch):
+        from repro.util.errors import StorageError
+
+        before = self._state(db)
+        with pytest.raises(StorageError, match="duplicate key .* unique index 'u_k'"):
+            db.load_rows("u", batch)
+        assert self._state(db) == before
+        assert db.run_sql("select count(*) as n from u where k = 3").rows == [(1,)]
+
+    def test_bad_row_keeps_nothing(self, db):
+        from repro.util.errors import CatalogError
+
+        before = self._state(db)
+        with pytest.raises(CatalogError):
+            db.load_rows("u", [(200, 0), ("bad", 0)])
+        assert self._state(db) == before
+
+    def test_indexed_load_maintains_every_index(self, db):
+        assert db.load_rows("u", [(k, k % 2) for k in range(10, 400)]) == 390
+        info = db.catalog.table("u")
+        entries = {i.name: list(i.index.items()) for i in info.indexes.values()}
+        by_rid = dict(info.heap.scan_rids())
+        assert len(entries["u_k"]) == len(entries["u_v"]) == 400
+        assert all(by_rid[rid][0] == key for key, rid in entries["u_k"])
+        assert all(by_rid[rid][1] == key for key, rid in entries["u_v"])

@@ -119,3 +119,48 @@ class TestHelpers:
 
     def test_noise_factor_zero_sigma(self):
         assert DeterministicRng(0).noise_factor(0.0) == 1.0
+
+
+class TestStreamMatchesRandom:
+    """``randint``/``choice`` draw through ``Random._randbelow`` directly;
+    the stream must stay the one ``random.Random``'s public methods give
+    on every supported Python version (TPC-H rows are built from it)."""
+
+    DRAWS = 100_000
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**31 - 1])
+    @pytest.mark.parametrize("low,high", [(0, 0), (1, 7), (-999, 9999),
+                                          (0, 2**40)])
+    def test_randint(self, seed, low, high):
+        import random
+
+        ours, theirs = DeterministicRng(seed), random.Random(seed)
+        assert [ours.randint(low, high) for _ in range(self.DRAWS)] == \
+            [theirs.randint(low, high) for _ in range(self.DRAWS)]
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**31 - 1])
+    @pytest.mark.parametrize("seq", ["OFP", tuple(range(25)), [None]])
+    def test_choice(self, seed, seq):
+        import random
+
+        ours, theirs = DeterministicRng(seed), random.Random(seed)
+        assert [ours.choice(seq) for _ in range(self.DRAWS)] == \
+            [theirs.choice(seq) for _ in range(self.DRAWS)]
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_interleaved_with_uniform(self, seed):
+        import random
+
+        ours, theirs = DeterministicRng(seed), random.Random(seed)
+        draw_ours = [(ours.randint(1, 50), ours.uniform(900.0, 2000.0),
+                      ours.choice("AB")) for _ in range(self.DRAWS // 3)]
+        draw_theirs = [(theirs.randint(1, 50), theirs.uniform(900.0, 2000.0),
+                        theirs.choice("AB")) for _ in range(self.DRAWS // 3)]
+        assert draw_ours == draw_theirs
+
+    def test_empty_ranges_raise_like_random(self):
+        rng = DeterministicRng(0)
+        with pytest.raises(ValueError):
+            rng.randint(5, 4)
+        with pytest.raises(IndexError):
+            rng.choice([])
