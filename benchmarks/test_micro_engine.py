@@ -21,14 +21,12 @@ from repro.engine.expr import (
 )
 from repro.engine.index import BPlusTreeIndex
 from repro.engine.schema import Column, ColumnType, TableSchema
-from repro.engine.storage import RecordId
 from repro.engine.trace import WorkTrace
 
 
 @pytest.fixture(scope="module")
 def btree():
-    entries = [(i, RecordId(i // 80, i % 80)) for i in range(100_000)]
-    return BPlusTreeIndex.bulk_load("bench", "t", "a", entries)
+    return BPlusTreeIndex.bulk_load("bench", "t", "a", range(100_000))
 
 
 def test_micro_btree_point_lookup(benchmark, btree):

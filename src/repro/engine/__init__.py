@@ -11,7 +11,7 @@ simulated wall-clock time.
 
 from repro.engine.types import Date, Value
 from repro.engine.schema import Column, ColumnType, TableSchema
-from repro.engine.storage import HeapFile, RecordId
+from repro.engine.storage import HeapFile
 from repro.engine.bufferpool import BufferPool
 from repro.engine.index import BPlusTreeIndex
 from repro.engine.statistics import ColumnStats, TableStats, analyze_table
@@ -26,7 +26,6 @@ __all__ = [
     "ColumnType",
     "TableSchema",
     "HeapFile",
-    "RecordId",
     "BufferPool",
     "BPlusTreeIndex",
     "ColumnStats",

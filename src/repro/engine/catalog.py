@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 from repro.engine.index import BPlusTreeIndex, HypotheticalIndex
 from repro.engine.schema import TableSchema
 from repro.engine.statistics import TableStats, analyze_table
-from repro.engine.storage import HeapFile, RecordId
+from repro.engine.storage import HeapFile
 from repro.util.errors import CatalogError
 
 
@@ -85,14 +86,9 @@ class Catalog:
                 raise CatalogError(f"index {index_name!r} already exists")
         col_pos = info.schema.column_index(column_name)
         key_width = info.schema.columns[col_pos].avg_width
-        entries = [
-            (row[col_pos], RecordId(page.page_no, slot))
-            for page in info.heap.pages()
-            for slot, row in enumerate(page.rows)
-            if row[col_pos] is not None
-        ]
         tree = BPlusTreeIndex.bulk_load(
-            index_name, table_name, column_name, entries,
+            index_name, table_name, column_name,
+            list(map(itemgetter(col_pos), info.heap.rows)),
             key_width=key_width, unique=unique,
         )
         index_info = IndexInfo(

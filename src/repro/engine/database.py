@@ -20,7 +20,6 @@ from repro.engine.catalog import Catalog
 from repro.engine.executor import ExecutionContext, Executor
 from repro.engine.plans import PlanNode
 from repro.engine.schema import TableSchema
-from repro.engine.storage import RecordId
 from repro.engine.trace import WorkTrace
 from repro.util.errors import StorageError
 
@@ -112,11 +111,10 @@ class Database:
                 seen.add(key)
         first = heap.n_rows
         heap.bulk_load(batch)
-        per_page = heap.rows_per_page()
         for tree, pos in indexes:
             for row_no, row in enumerate(batch, first):
                 if row[pos] is not None:
-                    tree.insert(row[pos], RecordId(*divmod(row_no, per_page)))
+                    tree.insert(row[pos], row_no)
         return len(batch)
 
     def create_index(self, index_name: str, table_name: str,

@@ -204,19 +204,21 @@ class Executor:
         use_ring = pool.should_use_ring(heap.n_pages)
         predicate = _bind_optional(plan.filter_expr, plan.layout)
         eval_ctx = EvalContext()
-        out: List[tuple] = []
-        for page in heap.pages():
-            pool.access(heap.file_id, page.page_no, trace,
+        rows = heap.rows
+        # An empty heap has no pages (and its schema may not fit one).
+        per_page = heap.rows_per_page() if rows else 1
+        # Pages in physical order; the predicate's work goes to eval_ctx,
+        # charged after the pages, so the rows are filtered in one pass.
+        for page_no in range(heap.n_pages):
+            pool.access(heap.file_id, page_no, trace,
                         sequential=True, bypass=use_ring)
             trace.add_cpu(CPU_PAGE_PROCESS_UNITS)
-            rows = page.rows
-            trace.add_tuples(len(rows), CPU_TUPLE_UNITS)
-            if predicate is None:
-                out.extend(rows)
-            else:
-                for row in rows:
-                    if predicate.eval(row, eval_ctx) is True:
-                        out.append(row)
+            trace.add_tuples(min(per_page, len(rows) - page_no * per_page),
+                             CPU_TUPLE_UNITS)
+        if predicate is None:
+            out = list(rows)
+        else:
+            out = [row for row in rows if predicate.eval(row, eval_ctx) is True]
         self._ctx.charge_eval(eval_ctx)
         return out
 
@@ -234,6 +236,8 @@ class Executor:
             )
         tree = index_info.index
         heap = info.heap
+        rows = heap.rows
+        per_page = heap.rows_per_page() if rows else 1
         pool = self._ctx.buffer_pool
         trace = self._ctx.trace
         predicate = _bind_optional(plan.filter_expr, plan.layout)
@@ -244,7 +248,7 @@ class Executor:
         for page_no in tree.descend_pages(plan.low):
             pool.access(tree.file_id, page_no, trace, sequential=False)
         last_leaf = -1
-        for _key, rid, leaf_page in tree.range_scan(
+        for _key, position, leaf_page in tree.range_scan(
             plan.low, plan.high, plan.low_inclusive, plan.high_inclusive
         ):
             if leaf_page != last_leaf:
@@ -252,10 +256,11 @@ class Executor:
                 last_leaf = leaf_page
             # Charged per fetch: the buffer-hit charges of the page
             # accesses above fall between consecutive tuples.
-            pool.access(heap.file_id, rid.page_no, trace, sequential=False)
+            pool.access(heap.file_id, position // per_page, trace,
+                        sequential=False)
             trace.add_tuples(1, per_tuple_units)
             trace.index_tuples += 1
-            row = heap.fetch(rid)
+            row = rows[position]
             if predicate is None or predicate.eval(row, eval_ctx) is True:
                 out.append(row)
         self._ctx.charge_eval(eval_ctx)

@@ -1,21 +1,21 @@
 """B+-tree secondary indexes.
 
-Keys are single column values; payloads are heap :class:`RecordId`s
-(duplicates allowed). Nodes occupy one page each and carry page numbers
-so index traversal can be charged to the buffer pool like heap access.
-The tree supports bulk loading from sorted input (how the TPC-H kit
-builds its OSDB-style index set), ordinary inserts with splits, point
-lookups, and ordered range scans over the leaf chain.
+Keys are single column values; payloads are plain ``int`` row
+positions in the table's :class:`~repro.engine.storage.HeapFile`
+(duplicates allowed; a key's positions ascend). Nodes occupy one page
+each and carry page numbers so index traversal can be charged to the
+buffer pool like heap access. The tree supports bulk loading from a
+column's keys (how the TPC-H kit builds its OSDB-style index set),
+ordinary inserts with splits, point lookups, and ordered range scans
+over the leaf chain.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import count, groupby
-from operator import itemgetter
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.engine.storage import RecordId
 from repro.engine.types import Value
 from repro.util.errors import StorageError
 from repro.util.units import PAGE_SIZE
@@ -24,7 +24,7 @@ _index_file_ids = count(100_000)
 
 #: Bytes of node overhead per page.
 NODE_HEADER_BYTES = 64
-#: Accounting size of one (key, child/rid) entry given a key width.
+#: Accounting size of one (key, child/position) entry given a key width.
 ENTRY_OVERHEAD_BYTES = 16
 
 
@@ -42,11 +42,11 @@ class _Node:
 
 
 class _Leaf(_Node):
-    __slots__ = ("rid_lists", "next_leaf")
+    __slots__ = ("positions", "next_leaf")
 
     def __init__(self, page_no: int):
         super().__init__(page_no)
-        self.rid_lists: List[List[RecordId]] = []
+        self.positions: List[List[int]] = []
         self.next_leaf: Optional["_Leaf"] = None
 
 
@@ -111,24 +111,27 @@ class BPlusTreeIndex:
 
     @classmethod
     def bulk_load(cls, name: str, table_name: str, column_name: str,
-                  entries: Iterable[Tuple[Value, RecordId]],
+                  column: Sequence[Value],
                   key_width: int = 8, unique: bool = False) -> "BPlusTreeIndex":
-        """Build a tree from (key, rid) pairs; input need not be sorted.
+        """Build a tree over a column whose row at position *i* has key
+        ``column[i]``; NULL keys are not indexed.
 
-        The sort is stable on the key alone, so a key's rids keep their
-        input order (rid order, as :meth:`Catalog.create_index` scans).
-        Leaves are packed to ~90% like a real bulk load, keeping page
-        counts realistic for the optimizer's index-size estimates.
+        The non-NULL positions are sorted stably by key alone, so each
+        key's positions come out ascending. Leaves are packed to ~90%
+        like a real bulk load, keeping page counts realistic for the
+        optimizer's index-size estimates.
         """
         index = cls(name, table_name, column_name, key_width=key_width, unique=unique)
-        pairs = sorted(entries, key=itemgetter(0))
-        index._n_entries = len(pairs)
+        key_of = column.__getitem__
+        order = [pos for pos, key in enumerate(column) if key is not None]
+        order.sort(key=key_of)
+        index._n_entries = len(order)
         keys: List[Value] = []
-        rid_lists: List[List[RecordId]] = []
-        for key, group in groupby(pairs, key=itemgetter(0)):
+        positions: List[List[int]] = []
+        for key, group in groupby(order, key=key_of):
             keys.append(key)
-            rid_lists.append([rid for _key, rid in group])
-            if unique and len(rid_lists[-1]) > 1:
+            positions.append(list(group))
+            if unique and len(positions[-1]) > 1:
                 raise StorageError(f"duplicate key {key!r} in unique index {name!r}")
 
         fill = max(2, int(index._fanout * 0.9))
@@ -136,7 +139,7 @@ class BPlusTreeIndex:
         for start in range(0, len(keys), fill):
             leaf = index._new_leaf() if leaves else index._root
             leaf.keys = keys[start:start + fill]
-            leaf.rid_lists = rid_lists[start:start + fill]
+            leaf.positions = positions[start:start + fill]
             if leaves:
                 leaves[-1].next_leaf = leaf
             leaves.append(leaf)
@@ -159,9 +162,9 @@ class BPlusTreeIndex:
 
     # -- inserts -----------------------------------------------------------------------
 
-    def insert(self, key: Value, rid: RecordId) -> None:
+    def insert(self, key: Value, position: int) -> None:
         """Insert one entry, splitting nodes on overflow."""
-        split = self._insert_into(self._root, key, rid)
+        split = self._insert_into(self._root, key, position)
         if split is not None:
             sep_key, right = split
             new_root = self._new_internal()
@@ -171,12 +174,12 @@ class BPlusTreeIndex:
         self._n_entries += 1
 
     def _insert_into(self, node: _Node, key: Value,
-                     rid: RecordId) -> Optional[Tuple[Value, _Node]]:
+                     position: int) -> Optional[Tuple[Value, _Node]]:
         if isinstance(node, _Leaf):
-            return self._insert_into_leaf(node, key, rid)
+            return self._insert_into_leaf(node, key, position)
         assert isinstance(node, _Internal)
         child_pos = bisect_right(node.keys, key)
-        split = self._insert_into(node.children[child_pos], key, rid)
+        split = self._insert_into(node.children[child_pos], key, position)
         if split is None:
             return None
         sep_key, right = split
@@ -194,23 +197,23 @@ class BPlusTreeIndex:
         return up_key, sibling
 
     def _insert_into_leaf(self, leaf: _Leaf, key: Value,
-                          rid: RecordId) -> Optional[Tuple[Value, _Node]]:
+                          position: int) -> Optional[Tuple[Value, _Node]]:
         pos = bisect_left(leaf.keys, key)
         if pos < len(leaf.keys) and leaf.keys[pos] == key:
             if self.unique:
                 raise StorageError(f"duplicate key {key!r} in unique index {self.name!r}")
-            leaf.rid_lists[pos].append(rid)
+            leaf.positions[pos].append(position)
             return None
         leaf.keys.insert(pos, key)
-        leaf.rid_lists.insert(pos, [rid])
+        leaf.positions.insert(pos, [position])
         if len(leaf.keys) <= self._fanout:
             return None
         mid = len(leaf.keys) // 2
         sibling = self._new_leaf()
         sibling.keys = leaf.keys[mid:]
-        sibling.rid_lists = leaf.rid_lists[mid:]
+        sibling.positions = leaf.positions[mid:]
         leaf.keys = leaf.keys[:mid]
-        leaf.rid_lists = leaf.rid_lists[:mid]
+        leaf.positions = leaf.positions[:mid]
         sibling.next_leaf = leaf.next_leaf
         leaf.next_leaf = sibling
         return sibling.keys[0], sibling
@@ -228,18 +231,18 @@ class BPlusTreeIndex:
         assert isinstance(node, _Leaf)
         return node, pages
 
-    def search(self, key: Value) -> Tuple[List[RecordId], List[int]]:
-        """Rids matching *key* and the index pages touched."""
+    def search(self, key: Value) -> Tuple[List[int], List[int]]:
+        """Row positions matching *key* and the index pages touched."""
         leaf, pages = self._descend(key)
         pos = bisect_left(leaf.keys, key)
         if pos < len(leaf.keys) and leaf.keys[pos] == key:
-            return list(leaf.rid_lists[pos]), pages
+            return list(leaf.positions[pos]), pages
         return [], pages
 
     def range_scan(self, low: Optional[Value] = None, high: Optional[Value] = None,
                    low_inclusive: bool = True,
-                   high_inclusive: bool = True) -> Iterator[Tuple[Value, RecordId, int]]:
-        """Yield (key, rid, leaf page number) over [low, high] in key order.
+                   high_inclusive: bool = True) -> Iterator[Tuple[Value, int, int]]:
+        """Yield (key, position, leaf page number) over [low, high] in key order.
 
         Open bounds are expressed by passing ``None``. The caller charges
         page accesses: the descent pages via :meth:`descend_pages`, each
@@ -262,8 +265,8 @@ class BPlusTreeIndex:
                         return
                     if not high_inclusive and key >= high:
                         return
-                for rid in leaf.rid_lists[pos]:
-                    yield key, rid, leaf.page_no
+                for position in leaf.positions[pos]:
+                    yield key, position, leaf.page_no
                 pos += 1
             leaf = leaf.next_leaf
             pos = 0
@@ -286,10 +289,10 @@ class BPlusTreeIndex:
         assert isinstance(node, _Leaf)
         return node
 
-    def items(self) -> Iterator[Tuple[Value, RecordId]]:
-        """All entries in key order (testing / verification helper)."""
-        for key, rid, _page in self.range_scan():
-            yield key, rid
+    def items(self) -> Iterator[Tuple[Value, int]]:
+        """All (key, position) entries in key order (testing / verification helper)."""
+        for key, position, _page in self.range_scan():
+            yield key, position
 
     def __repr__(self) -> str:
         return (
@@ -330,7 +333,7 @@ class HypotheticalIndex:
         self._n_entries = max(0, int(n_entries))
         n_keys = max(0, min(int(n_keys), self._n_entries))
         fill = max(2, int(self._fanout * 0.9))
-        # Mirror bulk_load: one (key, rid-list) slot per distinct key,
+        # Mirror bulk_load: one (key, positions) slot per distinct key,
         # `fill` slots per leaf, then internal levels in groups of `fill`.
         leaves = max(1, -(-n_keys // fill))
         pages, height, level = leaves, 1, leaves

@@ -226,7 +226,7 @@ def analyze_column(name: str, values: Sequence[Value],
 def analyze_table(heap: HeapFile) -> TableStats:
     """Full-scan ANALYZE of a heap file."""
     schema: TableSchema = heap.schema
-    rows = [row for page in heap.pages() for row in page.rows]
+    rows = heap.rows
     columns_values = [list(map(itemgetter(i), rows))
                       for i in range(len(schema.columns))]
     stats = TableStats(

@@ -1,17 +1,20 @@
-"""Paged heap storage.
+"""Heap storage with page geometry.
 
-Tables live in heap files made of fixed-size pages (8 KiB). Rows are
-Python tuples; every row of a schema has the same accounting width, so a
-page holds exactly :meth:`HeapFile.rows_per_page` of them, the fan-out a
-real slotted page of that row width would have. "Disk" is simply the
-heap file — whether touching a page costs a physical read or a buffer
-hit is decided by the buffer pool.
+A table's rows live in one list, :attr:`HeapFile.rows`, in physical
+order; a row's address is its position in that list. Pages are
+geometry, not containers: rows are Python tuples, every row of a
+schema has the same accounting width, so a page holds exactly
+:meth:`HeapFile.rows_per_page` of them — the fan-out a real slotted
+8 KiB page of that row width would have — and the row at position *i*
+sits on page ``i // rows_per_page()``. "Disk" is simply the heap file;
+whether touching a page costs a physical read or a buffer hit is
+decided by the buffer pool.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 from repro.engine.schema import TableSchema
 from repro.engine.types import Value
@@ -24,51 +27,30 @@ PAGE_HEADER_BYTES = 64
 _file_ids = itertools.count(1)
 
 
-class RecordId(NamedTuple):
-    """Physical address of a tuple: (page number, slot in page)."""
-
-    page_no: int
-    slot: int
-
-    def __repr__(self) -> str:
-        return f"Rid({self.page_no}, {self.slot})"
-
-
-class Page:
-    """One heap page holding whole rows."""
-
-    __slots__ = ("page_no", "rows")
-
-    def __init__(self, page_no: int, rows: List[tuple]):
-        self.page_no = page_no
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
 class HeapFile:
     """An append-oriented heap file for one table.
 
-    Every page but the last is full, so row *i* of the file lives at
-    ``RecordId(*divmod(i, rows_per_page()))``.
+    Every page but the last is full, so position *i* lives in slot
+    ``i % rows_per_page()`` of page ``i // rows_per_page()``.
     """
 
     def __init__(self, schema: TableSchema):
         self.schema = schema
         self.file_id = next(_file_ids)
-        self._pages: List[Page] = []
-        self._n_rows = 0
+        #: Every row in physical order; a row's position is its address.
+        self.rows: List[tuple] = []
+        # Stored, not derived: the catalog fingerprint reads it per lookup.
+        self._n_pages = 0
 
     # -- geometry ----------------------------------------------------------
 
     @property
     def n_pages(self) -> int:
-        return len(self._pages)
+        return self._n_pages
 
     @property
     def n_rows(self) -> int:
-        return self._n_rows
+        return len(self.rows)
 
     def rows_per_page(self) -> int:
         """Rows of this schema's width one page holds."""
@@ -81,61 +63,36 @@ class HeapFile:
 
     # -- writes ----------------------------------------------------------------
 
-    def append(self, row: Sequence[Value]) -> RecordId:
-        """Validate and append one row; returns its record id."""
+    def append(self, row: Sequence[Value]) -> int:
+        """Validate and append one row; returns its position."""
         self.bulk_load((row,))
-        return RecordId(*divmod(self._n_rows - 1, self.rows_per_page()))
+        return len(self.rows) - 1
 
     def bulk_load(self, rows: Iterable[Sequence[Value]]) -> int:
         """Validate and append a batch of rows; returns the number loaded.
 
         All or nothing: a row that does not fit the schema (or a schema
-        whose rows do not fit a page) raises before any page changes.
+        whose rows do not fit a page) raises before the heap changes.
         """
         per_page = self.rows_per_page()
         batch = list(map(tuple, rows))
         self.schema.validate_rows(batch)
-        pages = self._pages
-        start = 0
-        if pages:
-            start = per_page - len(pages[-1].rows)
-            pages[-1].rows.extend(batch[:start])
-        for offset in range(start, len(batch), per_page):
-            pages.append(Page(len(pages), batch[offset:offset + per_page]))
-        self._n_rows += len(batch)
+        self.rows.extend(batch)
+        self._n_pages = -(-len(self.rows) // per_page)
         return len(batch)
 
     # -- reads -----------------------------------------------------------------
 
-    def page(self, page_no: int) -> Page:
-        try:
-            return self._pages[page_no]
-        except IndexError:
+    def fetch(self, position: int) -> tuple:
+        """The row at *position*, which must lie in ``[0, n_rows)``."""
+        if not 0 <= position < len(self.rows):
             raise StorageError(
-                f"heap file for {self.schema.name!r} has no page {page_no}"
-            ) from None
-
-    def pages(self) -> Iterator[Page]:
-        """Pages in physical order (a sequential scan's access pattern)."""
-        return iter(self._pages)
-
-    def fetch(self, rid: RecordId) -> tuple:
-        """The row at *rid*."""
-        page = self.page(rid.page_no)
-        try:
-            return page.rows[rid.slot]
-        except IndexError:
-            raise StorageError(f"no tuple at {rid!r} in {self.schema.name!r}") from None
-
-    def scan_rids(self) -> Iterator[Tuple[RecordId, tuple]]:
-        """All (rid, row) pairs in physical order."""
-        for page in self._pages:
-            page_no = page.page_no
-            for slot, row in enumerate(page.rows):
-                yield RecordId(page_no, slot), row
+                f"no row at position {position} in {self.schema.name!r} "
+                f"({len(self.rows)} rows)")
+        return self.rows[position]
 
     def __repr__(self) -> str:
         return (
-            f"HeapFile({self.schema.name!r}, rows={self._n_rows}, "
-            f"pages={self.n_pages})"
+            f"HeapFile({self.schema.name!r}, rows={len(self.rows)}, "
+            f"pages={self._n_pages})"
         )

@@ -38,7 +38,7 @@ class TestDatabase:
 
     def test_b_column_is_permutation(self, db):
         info = db.catalog.table(SMALL_TABLE)
-        b_values = sorted(row[1] for _rid, row in info.heap.scan_rids())
+        b_values = sorted(row[1] for row in info.heap.rows)
         assert b_values == list(range(info.heap.n_rows))
 
     def test_indexes_built(self, db):
@@ -52,9 +52,9 @@ class TestDatabase:
     def test_deterministic(self, workbench):
         other = CalibrationWorkbench(rows=dict(workbench.rows)).build_database()
         mine = workbench.build_database()
-        a = list(mine.catalog.table(SMALL_TABLE).heap.scan_rids())
-        b = list(other.catalog.table(SMALL_TABLE).heap.scan_rids())
-        assert [row for _r, row in a] == [row for _r, row in b]
+        a = mine.catalog.table(SMALL_TABLE).heap.rows
+        b = other.catalog.table(SMALL_TABLE).heap.rows
+        assert a == b
 
 
 class TestDesignedQueries:

@@ -18,7 +18,15 @@ The committed file was generated at commit
 load appended one validated row at a time, whose ``Date`` compared in
 Python and whose index bulk load sorted on a ``(key, page, slot)``
 tuple. The batch load that replaced those paths must reproduce it bit
-for bit. To regenerate (only when page geometry, index layout or
+for bit.
+
+The engine has since dropped page and record-id objects: a heap is one
+row list, an index payload is a row's position in it, and a page is
+geometry (``rows_per_page()``). The digests still speak of pages and
+slots, so this helper renders them from the geometry — per-page row
+counts from ``n_rows`` and ``rows_per_page()``, a payload as
+``divmod(position, rows_per_page())`` — which is the address the
+committed file recorded for the same row. To regenerate (only when page geometry, index layout or
 statistics change on purpose), run from the repository root::
 
     PYTHONPATH=src:. python tests/engine/fixtures/generate_load.py --overwrite
@@ -62,13 +70,20 @@ def _run_lengths(counts):
     return runs
 
 
-def _leaf_walk(tree):
+def _page_rows(heap):
+    """Rows on each page: every page but the last is full."""
+    per_page = heap.rows_per_page()
+    return [min(per_page, heap.n_rows - start)
+            for start in range(0, heap.n_rows, per_page)]
+
+
+def _leaf_walk(tree, per_page):
     node = tree._root
     while hasattr(node, "children"):
         node = node.children[0]
     while node is not None:
-        for key, rids in zip(node.keys, node.rid_lists):
-            yield repr((key, [(rid.page_no, rid.slot) for rid in rids]))
+        for key, positions in zip(node.keys, node.positions):
+            yield repr((key, [divmod(pos, per_page) for pos in positions]))
         node = node.next_leaf
 
 
@@ -79,13 +94,11 @@ def database_digests(db) -> dict:
     for name in catalog.table_names():
         info = catalog.table(name)
         heap = info.heap
-        pages = list(heap.pages())
         tables[name] = {
             "n_rows": heap.n_rows,
             "n_pages": heap.n_pages,
-            "page_rows": _run_lengths(len(page.rows) for page in pages),
-            "rows_sha256": _sha(repr(row) for page in pages
-                                for row in page.rows),
+            "page_rows": _run_lengths(_page_rows(heap)),
+            "rows_sha256": _sha(map(repr, heap.rows)),
         }
         for index_name, index_info in sorted(info.indexes.items()):
             tree = index_info.index
@@ -94,7 +107,7 @@ def database_digests(db) -> dict:
                 "height": tree.height,
                 "fanout": tree.fanout,
                 "n_entries": tree.n_entries,
-                "leaves_sha256": _sha(_leaf_walk(tree)),
+                "leaves_sha256": _sha(_leaf_walk(tree, heap.rows_per_page())),
             }
         for column, stats in info.stats.columns.items():
             columns[f"{name}.{column}"] = _sha([repr(stats)])
@@ -102,12 +115,17 @@ def database_digests(db) -> dict:
             "fingerprint": repr(catalog.fingerprint())}
 
 
+def build() -> dict:
+    """Both databases, loaded through the current code."""
+    return {
+        "tpch": build_tpch_database(scale_factor=SCALE_FACTOR),
+        "workbench": CalibrationWorkbench().build_database(),
+    }
+
+
 def compute() -> dict:
     """The digests of both databases, loaded through the current code."""
-    return {
-        "tpch": database_digests(build_tpch_database(scale_factor=SCALE_FACTOR)),
-        "workbench": database_digests(CalibrationWorkbench().build_database()),
-    }
+    return {name: database_digests(db) for name, db in build().items()}
 
 
 def main(argv=None) -> int:

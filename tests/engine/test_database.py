@@ -125,7 +125,7 @@ class TestAllOrNothingLoadRows:
         assert db.load_rows("u", [(k, k % 2) for k in range(10, 400)]) == 390
         info = db.catalog.table("u")
         entries = {i.name: list(i.index.items()) for i in info.indexes.values()}
-        by_rid = dict(info.heap.scan_rids())
+        rows = info.heap.rows
         assert len(entries["u_k"]) == len(entries["u_v"]) == 400
-        assert all(by_rid[rid][0] == key for key, rid in entries["u_k"])
-        assert all(by_rid[rid][1] == key for key, rid in entries["u_v"])
+        assert all(rows[pos][0] == key for key, pos in entries["u_k"])
+        assert all(rows[pos][1] == key for key, pos in entries["u_v"])

@@ -3,18 +3,11 @@
 import pytest
 
 from repro.engine.index import BPlusTreeIndex
-from repro.engine.storage import RecordId
 from repro.util.errors import StorageError
 
 
-def rid(i):
-    return RecordId(i // 100, i % 100)
-
-
 def bulk(keys, **kwargs):
-    return BPlusTreeIndex.bulk_load(
-        "idx", "t", "a", [(k, rid(i)) for i, k in enumerate(keys)], **kwargs
-    )
+    return BPlusTreeIndex.bulk_load("idx", "t", "a", keys, **kwargs)
 
 
 class TestBulkLoad:
@@ -26,8 +19,18 @@ class TestBulkLoad:
 
     def test_duplicates_allowed(self):
         tree = bulk([4, 4, 4, 2])
-        rids, _pages = tree.search(4)
-        assert len(rids) == 3
+        positions, _pages = tree.search(4)
+        assert positions == [0, 1, 2]
+
+    def test_payloads_are_positions_ascending_within_a_key(self):
+        keys = [3, 1, 3, None, 1, 3]
+        tree = bulk(keys)
+        assert list(tree.items()) == [(1, 1), (1, 4), (3, 0), (3, 2), (3, 5)]
+
+    def test_null_keys_are_not_indexed(self):
+        tree = bulk([None, 2, None])
+        assert tree.n_entries == 1
+        assert list(tree.items()) == [(2, 1)]
 
     def test_unique_rejects_duplicates(self):
         with pytest.raises(StorageError):
@@ -48,14 +51,14 @@ class TestBulkLoad:
 class TestSearch:
     def test_point_lookup(self):
         tree = bulk(list(range(0, 1000, 2)))
-        rids, pages = tree.search(500)
-        assert rids == [rid(250)]
+        positions, pages = tree.search(500)
+        assert positions == [250]
         assert len(pages) == tree.height
 
     def test_missing_key(self):
         tree = bulk(list(range(0, 1000, 2)))
-        rids, _pages = tree.search(501)
-        assert rids == []
+        positions, _pages = tree.search(501)
+        assert positions == []
 
     def test_descend_pages_path_length(self):
         tree = bulk(list(range(10_000)))
@@ -104,14 +107,14 @@ class TestRangeScan:
 class TestInsert:
     def test_insert_into_empty(self):
         tree = BPlusTreeIndex("idx", "t", "a")
-        tree.insert(5, rid(0))
-        assert tree.search(5)[0] == [rid(0)]
+        tree.insert(5, 0)
+        assert tree.search(5)[0] == [0]
 
     def test_insert_many_with_splits(self):
         tree = BPlusTreeIndex("idx", "t", "a")
         n = 5000
         for i in range(n):
-            tree.insert((i * 37) % n, rid(i))  # scrambled order
+            tree.insert((i * 37) % n, i)  # scrambled order
         keys = [k for k, _ in tree.items()]
         assert keys == sorted(keys)
         assert tree.n_entries == n
@@ -119,20 +122,20 @@ class TestInsert:
 
     def test_insert_duplicate_key_appends_rid(self):
         tree = BPlusTreeIndex("idx", "t", "a")
-        tree.insert(1, rid(0))
-        tree.insert(1, rid(1))
-        assert len(tree.search(1)[0]) == 2
+        tree.insert(1, 0)
+        tree.insert(1, 1)
+        assert tree.search(1)[0] == [0, 1]
 
     def test_unique_insert_rejects_duplicate(self):
         tree = BPlusTreeIndex("idx", "t", "a", unique=True)
-        tree.insert(1, rid(0))
+        tree.insert(1, 0)
         with pytest.raises(StorageError):
-            tree.insert(1, rid(1))
+            tree.insert(1, 1)
 
     def test_insert_then_range_scan_consistent(self):
         tree = BPlusTreeIndex("idx", "t", "a")
         for i in reversed(range(1000)):
-            tree.insert(i, rid(i))
+            tree.insert(i, i)
         assert [k for k, _r, _p in tree.range_scan(100, 110)] == list(range(100, 111))
 
 

@@ -1,9 +1,9 @@
-"""Tests for heap files and pages."""
+"""Tests for heap files and their page geometry."""
 
 import pytest
 
 from repro.engine.schema import Column, ColumnType, TableSchema
-from repro.engine.storage import HeapFile, RecordId
+from repro.engine.storage import HeapFile
 from repro.util.errors import CatalogError, StorageError
 from repro.util.units import PAGE_SIZE
 
@@ -19,8 +19,9 @@ def make_heap(text_width=20):
 class TestAppend:
     def test_append_and_fetch(self):
         heap = make_heap()
-        rid = heap.append((1, "hello"))
-        assert heap.fetch(rid) == (1, "hello")
+        position = heap.append((1, "hello"))
+        assert position == 0
+        assert heap.fetch(position) == (1, "hello")
         assert heap.n_rows == 1
 
     def test_rows_span_pages(self):
@@ -29,8 +30,7 @@ class TestAppend:
         for i in range(per_page + 1):
             heap.append((i, "x"))
         assert heap.n_pages == 2
-        assert len(heap.page(0)) == per_page
-        assert len(heap.page(1)) == 1
+        assert len(heap.rows) == per_page + 1
 
     def test_rows_per_page_matches_width(self):
         heap = make_heap()
@@ -50,31 +50,44 @@ class TestAppend:
 
 
 class TestScan:
-    def test_scan_rids_in_physical_order(self):
+    def test_rows_in_physical_order(self):
         heap = make_heap()
-        rids = [heap.append((i, "x")) for i in range(300)]
-        scanned = list(heap.scan_rids())
-        assert [rid for rid, _row in scanned] == rids
-        assert [row[0] for _rid, row in scanned] == list(range(300))
+        positions = [heap.append((i, "x")) for i in range(300)]
+        assert positions == list(range(300))
+        assert [row[0] for row in heap.rows] == list(range(300))
+        assert [heap.fetch(p) for p in positions] == heap.rows
 
     def test_pages_iterates_all(self):
         heap = make_heap()
         heap.bulk_load([(i, "x") for i in range(700)])
-        total = sum(len(page) for page in heap.pages())
-        assert total == 700
+        per_page = heap.rows_per_page()
+        pages = [heap.rows[p * per_page:(p + 1) * per_page]
+                 for p in range(heap.n_pages)]
+        assert sum(map(len, pages)) == len(heap.rows) == 700
+        assert all(len(page) == per_page for page in pages[:-1])
 
 
 class TestErrors:
     def test_fetch_bad_page(self):
         heap = make_heap()
-        with pytest.raises(StorageError):
-            heap.fetch(RecordId(5, 0))
+        for position in (0, 5 * heap.rows_per_page()):
+            with pytest.raises(StorageError):
+                heap.fetch(position)
 
     def test_fetch_bad_slot(self):
         heap = make_heap()
         heap.append((1, "x"))
         with pytest.raises(StorageError):
-            heap.fetch(RecordId(0, 99))
+            heap.fetch(99)  # page 0, an empty slot
+
+    @pytest.mark.parametrize("n_rows", [1, 300])
+    def test_fetch_rejects_every_position_outside_the_rows(self, n_rows):
+        heap = make_heap()
+        heap.bulk_load([(i, "x") for i in range(n_rows)])
+        for position in (-1, -n_rows, n_rows, n_rows + 1):
+            with pytest.raises(StorageError, match=f"no row at position {position}"):
+                heap.fetch(position)
+        assert heap.fetch(n_rows - 1) == (n_rows - 1, "x")
 
     def test_distinct_file_ids(self):
         assert make_heap().file_id != make_heap().file_id
@@ -108,7 +121,7 @@ class TestAllOrNothingLoad:
             heap.bulk_load([(1, "x"), (2,), (3.5, "y")])
         with pytest.raises(CatalogError, match=r"value 3\.5 is not valid"):
             heap.bulk_load([(1, "x"), (3.5, "y"), (2,)])
-        assert [row for _rid, row in heap.scan_rids()] == [(0, "kept")]
+        assert heap.rows == [(0, "kept")]
 
     def test_type_check_matches_isinstance(self):
         heap = HeapFile(TableSchema("t", [Column("i", ColumnType.INT),
@@ -122,9 +135,12 @@ class TestAllOrNothingLoad:
         heap = make_heap()
         per_page = heap.rows_per_page()
         heap.bulk_load([(i, "x") for i in range(per_page - 3)])
-        rid = heap.append((-1, "y"))
-        assert rid == RecordId(0, per_page - 3)
+        position = heap.append((-1, "y"))
+        assert divmod(position, per_page) == (0, per_page - 3)
+        assert heap.n_pages == 1
         heap.bulk_load([(i, "z") for i in range(2 * per_page + 4)])
-        assert [len(page) for page in heap.pages()] == [per_page] * 3 + [2]
+        assert heap.n_pages == 4
         assert heap.n_rows == 3 * per_page + 2
-        assert [r for r, _row in heap.scan_rids()][-1] == RecordId(3, 1)
+        assert divmod(heap.n_rows - 1, per_page) == (3, 1)
+        assert heap.rows[per_page - 3] == (-1, "y")
+        assert heap.rows[per_page - 2] == (0, "z")

@@ -3,7 +3,6 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.index import BPlusTreeIndex
-from repro.engine.storage import RecordId
 
 keys_lists = st.lists(st.integers(min_value=-1000, max_value=1000),
                       min_size=0, max_size=300)
@@ -12,7 +11,7 @@ keys_lists = st.lists(st.integers(min_value=-1000, max_value=1000),
 def build_insert(keys):
     tree = BPlusTreeIndex("idx", "t", "a", key_width=8)
     for i, key in enumerate(keys):
-        tree.insert(key, RecordId(0, i))
+        tree.insert(key, i)
     return tree
 
 
@@ -25,18 +24,15 @@ def test_items_sorted_and_complete(keys):
 @given(keys_lists)
 def test_bulk_load_equals_insert_build(keys):
     inserted = build_insert(keys)
-    bulk = BPlusTreeIndex.bulk_load(
-        "idx2", "t", "a",
-        [(k, RecordId(0, i)) for i, k in enumerate(keys)], key_width=8,
-    )
-    assert [k for k, _ in inserted.items()] == [k for k, _ in bulk.items()]
+    bulk = BPlusTreeIndex.bulk_load("idx2", "t", "a", keys, key_width=8)
+    assert list(inserted.items()) == list(bulk.items())
 
 
 @given(keys_lists, st.integers(min_value=-1000, max_value=1000))
 def test_search_matches_count(keys, probe):
     tree = build_insert(keys)
-    rids, _pages = tree.search(probe)
-    assert len(rids) == keys.count(probe)
+    positions, _pages = tree.search(probe)
+    assert positions == [i for i, key in enumerate(keys) if key == probe]
 
 
 @given(keys_lists,

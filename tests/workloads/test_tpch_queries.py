@@ -36,7 +36,7 @@ class TestAnswerCorrectness:
     """Cross-check query answers against direct computation."""
 
     def _rows(self, tpch_db, table):
-        return [row for _rid, row in tpch_db.catalog.table(table).heap.scan_rids()]
+        return tpch_db.catalog.table(table).heap.rows
 
     def test_q6_revenue(self, tpch_db):
         lo = Date.parse("1994-01-01")
