@@ -3,9 +3,12 @@
 
 Times the same design problems the Figure 3 / Figure 5 experiments
 solve — TPC-H workloads competing for CPU *and* memory on the
-laboratory machine — once through the legacy engine-less path (the
-serial baseline) and once per worker count through the batched
-:class:`~repro.parallel.EvaluationEngine` path.
+laboratory machine — once through script-local per-matrix reference
+searches (the serial baseline: :class:`PerMatrixExhaustive` costs one
+full allocation matrix per combination, :class:`PerCandidateGreedy`
+one candidate matrix at a time) and once per worker count through the
+library's batched strategy on an
+:class:`~repro.parallel.EvaluationEngine`.
 
 Calibration cost is excluded from the timings: a shared
 interpolation-enabled :class:`CalibrationCache` is pre-warmed on the
@@ -34,6 +37,7 @@ Run with ``PYTHONPATH=src python scripts/bench_speedup.py [--smoke]``;
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -51,6 +55,7 @@ from repro.core import (  # noqa: E402
     VirtualizationDesigner,
     WorkloadSpec,
 )
+from repro.core.search import ExhaustiveSearch, GreedySearch  # noqa: E402
 from repro.parallel import EvaluationEngine  # noqa: E402
 from repro.virt.machine import laboratory_machine  # noqa: E402
 from repro.virt.resources import ResourceKind  # noqa: E402
@@ -120,9 +125,53 @@ def warm_cache(problem, grids, smoke) -> CalibrationCache:
     return cache
 
 
+class PerMatrixExhaustive(ExhaustiveSearch):
+    """The exhaustive baseline: one full allocation matrix per combination.
+
+    Unbudgeted, it spends the same distinct evaluations as the batched
+    enumeration and lands on the identical design.
+    """
+
+    def _enumerate(self, problem, cost_model, budget, names, resources,
+                   splits_per_resource):
+        best_units, best_cost = None, float("inf")
+        for combo in itertools.product(*splits_per_resource):
+            units_by_name = {
+                name: {kind: combo[r][i] for r, kind in enumerate(resources)}
+                for i, name in enumerate(names)
+            }
+            total, _per = self._evaluate(
+                problem, cost_model, self._matrix(problem, units_by_name),
+                budget)
+            if total < best_cost:
+                best_units, best_cost = units_by_name, total
+        return best_units
+
+
+class PerCandidateGreedy(GreedySearch):
+    """The greedy baseline: one candidate matrix at a time per step."""
+
+    def _best_move(self, problem, cost_model, budget, names, units_by_name,
+                   current_cost):
+        best_move, best_cost = None, current_cost
+        for candidate in self._moves(problem, names, units_by_name):
+            total, _per = self._evaluate(
+                problem, cost_model, self._matrix(problem, candidate), budget)
+            if total < best_cost - 1e-12:
+                best_move, best_cost = candidate, total
+        return best_move, best_cost
+
+
+#: algorithm name -> the per-matrix reference timed as the serial row.
+REFERENCE = {"exhaustive": PerMatrixExhaustive, "greedy": PerCandidateGreedy}
+
+
 def timed_run(problem, cache, algorithm, grid, engine):
+    """One design on a fresh model; ``engine=None`` times the reference."""
     model = OptimizerCostModel(cache)
     designer = VirtualizationDesigner(problem, model)
+    if engine is None:
+        algorithm = REFERENCE[algorithm](grid=grid)
     start = time.perf_counter()
     design = designer.design(algorithm, grid=grid, engine=engine)
     return time.perf_counter() - start, design

@@ -121,8 +121,9 @@ class VirtualizationDesigner:
         """Search for the best allocation of the controlled resources.
 
         *max_evaluations* / *deadline_seconds* bound the search when the
-        cost model may be degraded (see ``docs/robustness.md``); with an
-        *engine* the search runs its batched strategy (see
+        cost model may be degraded (see ``docs/robustness.md``); an
+        *engine* only decides where the search's evaluation batches run
+        — the design is the same without one (see
         ``docs/parallelism.md``); with *continuous* the search leaves
         the coarse grid for allocations down to a
         ``1/(grid * fine_factor)`` resolution — pair it with a cost

@@ -44,19 +44,19 @@ when two searches interleave on a shared model.
 
 Batched evaluation
 ------------------
-With an :class:`~repro.parallel.EvaluationEngine` attached (the
-``engine`` argument, ``--workers N`` on the CLI) each algorithm
-switches to a batched strategy built on
+Each algorithm has one strategy, built on
 :meth:`~repro.core.cost_model.CostModel.cost_many`: greedy evaluates
 its whole single-unit-move frontier per step in one batch, exhaustive
 and dynamic-programming chunk their enumerations into
-budget-capped batches (at most :data:`BATCH_TARGET` pairs each), and
-evaluation budgets are re-checked at every batch boundary — an
-in-flight batch always completes (see ``docs/parallelism.md``).
-Batch boundaries are a function of the problem and budget alone, never
-of the worker count, so a 4-worker run is bit-identical to a 1-worker
-run. Without an engine the original unbatched code path runs,
-unchanged.
+budget-capped batches (at most :data:`BATCH_TARGET` pairs each, never
+fewer than one full combination or one option), and evaluation budgets
+are re-checked at every batch boundary — an in-flight batch always
+completes (see ``docs/parallelism.md``). The optional
+:class:`~repro.parallel.EvaluationEngine` (the ``engine`` argument,
+``--workers N`` on the CLI) only decides where a batch's fresh pairs
+run; ``engine=None`` evaluates them in this process. Batch boundaries
+are a function of the problem and budget alone, never of the engine or
+its worker count, so every engine configuration is bit-identical.
 
 Continuous allocations
 ----------------------
@@ -71,7 +71,7 @@ without fresh experiments — a fitted
 --continuous``, see ``docs/surrogate.md``). Refinement stages count on
 ``search.step_refinements`` (labelled ``algorithm=<name>``); all
 bit-identity guarantees carry over, since every stage reuses the
-ordinary serial/batched strategies.
+ordinary batched strategies.
 
 Observability
 -------------
@@ -122,6 +122,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: serial runs to be bit-identical.
 BATCH_TARGET = 256
 
+#: Upper bound on the combinations an exhaustive chunk holds before
+#: they are scored. Once every distinct ``(workload, choice)`` pair has
+#: been costed a chunk meets no new pairs, and without this bound it
+#: would hold every remaining combination at once. Scoring early moves
+#: neither a budget check nor the scoring order.
+CHUNK_COMBINATIONS = 1024
+
 
 @dataclass
 class SearchResult:
@@ -169,9 +176,8 @@ class _Budget:
         """Batch-size cap: *target* pairs, but never past the budget.
 
         The floor keeps forward progress — the first unit of work (one
-        full allocation, one DP option) is always evaluated whole, the
-        same overshoot-by-at-most-one-unit the unbatched strategies
-        have always had.
+        full allocation, one DP option) is always evaluated whole, so a
+        search overshoots its budget by at most one batch.
         """
         remaining = self.remaining()
         if remaining is None:
@@ -385,81 +391,42 @@ class ExhaustiveSearch(SearchAlgorithm):
                               minimum=self._min_units(problem, kind)))
             for kind in resources
         ]
-        if self.engine is not None:
-            best_units = self._enumerate_batched(
-                problem, cost_model, budget, names, resources,
-                splits_per_resource)
-        else:
-            best_units = self._enumerate_serial(
-                problem, cost_model, budget, names, resources,
-                splits_per_resource)
+        best_units = self._enumerate(problem, cost_model, budget, names,
+                                     resources, splits_per_resource)
         if best_units is None:
             raise AllocationError("no feasible allocation for this grid")
         return self._finish(problem, cost_model, best_units,
                             budget, stopped=budget.stopped)
 
-    def _enumerate_serial(self, problem, cost_model, budget, names,
-                          resources, splits_per_resource):
-        """Unbatched reference enumeration: one matrix at a time."""
-        best_units: Optional[Dict[str, Dict[ResourceKind, int]]] = None
-        best_cost = float("inf")
-        for combo in itertools.product(*splits_per_resource):
-            units_by_name = {
-                name: {kind: combo[r][i] for r, kind in enumerate(resources)}
-                for i, name in enumerate(names)
-            }
-            matrix = self._matrix(problem, units_by_name)
-            total, _per = self._evaluate(problem, cost_model, matrix, budget)
-            if total < best_cost:
-                best_cost = total
-                best_units = units_by_name
-            # Checked after evaluating, so even an instantly exhausted
-            # budget still yields one feasible candidate.
-            if budget.exhausted():
-                break
-        return best_units
-
-    def _enumerate_batched(self, problem, cost_model, budget, names,
-                           resources, splits_per_resource):
+    def _enumerate(self, problem, cost_model, budget, names, resources,
+                   splits_per_resource):
         """Chunked enumeration exploiting the separable objective.
 
         The objective sums per-workload terms, and each workload's term
         depends only on its own unit choice — so the enumeration costs
         each distinct ``(workload, choice)`` pair once (in first-
         appearance order, through one ``cost_many`` batch per chunk)
-        and scores every combination with plain float sums. Chunks are
-        cut when they would need more than the budget-capped
-        :data:`BATCH_TARGET` uncosted pairs; the floor of one full
-        combination preserves the serial guarantee that even an
-        instantly exhausted budget yields one feasible candidate.
-        Chunk boundaries depend on the problem and budget alone, never
-        the worker count.
+        and scores every combination with plain float sums. A chunk
+        ends — and the budget is checked — once it has met the
+        budget-capped :data:`BATCH_TARGET` uncosted pairs; the floor of
+        one full combination guarantees that even an instantly
+        exhausted budget yields one feasible candidate. Within a chunk,
+        every :data:`CHUNK_COMBINATIONS` combinations are scored as
+        soon as their pairs are costed. Chunk boundaries depend on the
+        problem and budget alone, never the worker count.
         """
         n = len(names)
+        width = range(len(resources))
         local: Dict[Tuple[int, Tuple[int, ...]], float] = {}
+        #: Uncosted pairs met so far, in first-appearance order.
+        pending: Dict[Tuple[int, Tuple[int, ...]], None] = {}
+        held: List[tuple] = []
         best_units: Optional[Dict[str, Dict[ResourceKind, int]]] = None
         best_cost = float("inf")
-        combo_iter = itertools.product(*splits_per_resource)
-        done = False
-        while not done:
-            chunk: List[tuple] = []
-            pending: List[Tuple[int, Tuple[int, ...]]] = []
-            pending_set = set()
-            cap = budget.cap(BATCH_TARGET, floor=n)
-            for combo in combo_iter:
-                chunk.append(combo)
-                for i in range(n):
-                    choice = tuple(combo[r][i] for r in range(len(resources)))
-                    key = (i, choice)
-                    if key not in local and key not in pending_set:
-                        pending_set.add(key)
-                        pending.append(key)
-                if len(pending) >= cap:
-                    break
-            else:
-                done = True
-            if not chunk:
-                break
+
+        def score_held() -> None:
+            """Cost the pending pairs, then score the held combinations."""
+            nonlocal best_units, best_cost
             if pending:
                 pairs = []
                 for i, choice in pending:
@@ -469,13 +436,12 @@ class ExhaustiveSearch(SearchAlgorithm):
                                   self._vector(problem, names[i], units)))
                 outcome = cost_model.cost_many(pairs, engine=self.engine)
                 budget.add(outcome.fresh)
-                for key, value in zip(pending, outcome.costs):
-                    local[key] = value
-            for combo in chunk:
+                local.update(zip(pending, outcome.costs))
+                pending.clear()
+            for combo in held:
                 total = 0.0
                 for i in range(n):
-                    choice = tuple(combo[r][i] for r in range(len(resources)))
-                    total += local[(i, choice)]
+                    total += local[(i, tuple(combo[r][i] for r in width))]
                 if total < best_cost:
                     best_cost = total
                     best_units = {
@@ -483,9 +449,28 @@ class ExhaustiveSearch(SearchAlgorithm):
                                    for r, kind in enumerate(resources)}
                         for i in range(n)
                     }
-            if budget.exhausted():
-                done = True
-        return best_units
+            held.clear()
+
+        combos = itertools.product(*splits_per_resource)
+        while True:
+            cap = budget.cap(BATCH_TARGET, floor=n)
+            met = 0
+            finished = True
+            for combo in combos:
+                held.append(combo)
+                for i in range(n):
+                    key = (i, tuple(combo[r][i] for r in width))
+                    if key not in local and key not in pending:
+                        pending[key] = None
+                        met += 1
+                if met >= cap:
+                    finished = False
+                    break
+                if len(held) >= CHUNK_COMBINATIONS:
+                    score_held()
+            score_held()
+            if budget.exhausted() or finished:
+                return best_units
 
 
 class GreedySearch(SearchAlgorithm):
@@ -496,8 +481,8 @@ class GreedySearch(SearchAlgorithm):
     single-unit move improves the cost, doubles the grid resolution —
     halving the step — and resumes from the same point, until the step
     reaches ``1/(grid * fine_factor)``. Every stage reuses the ordinary
-    single-unit-move frontier, so the serial/batched strategies (and
-    their bit-identical-across-workers guarantee) carry over unchanged.
+    single-unit-move frontier, so the batched strategy (and its
+    bit-identical-across-workers guarantee) carries over unchanged.
     """
 
     name = "greedy"
@@ -543,14 +528,9 @@ class GreedySearch(SearchAlgorithm):
         improved = True
         while improved and not budget.exhausted():
             improved = False
-            if self.engine is not None:
-                best_move, best_cost = self._best_move_batched(
-                    problem, cost_model, budget, names, units_by_name,
-                    current_cost)
-            else:
-                best_move, best_cost = self._best_move_serial(
-                    problem, cost_model, budget, names, units_by_name,
-                    current_cost)
+            best_move, best_cost = self._best_move(
+                problem, cost_model, budget, names, units_by_name,
+                current_cost)
             if best_move is not None:
                 units_by_name = best_move
                 current_cost = best_cost
@@ -576,31 +556,14 @@ class GreedySearch(SearchAlgorithm):
                     candidate[recipient][kind] += 1
                     yield candidate
 
-    def _best_move_serial(self, problem, cost_model, budget, names,
-                          units_by_name, current_cost):
-        """Unbatched reference: probe moves one at a time."""
-        best_move = None
-        best_cost = current_cost
-        for candidate in self._moves(problem, names, units_by_name):
-            total, _ = self._evaluate(
-                problem, cost_model, self._matrix(problem, candidate),
-                budget,
-            )
-            if total < best_cost - 1e-12:
-                best_cost = total
-                best_move = candidate
-            if budget.exhausted():
-                break
-        return best_move, best_cost
-
-    def _best_move_batched(self, problem, cost_model, budget, names,
-                           units_by_name, current_cost):
+    def _best_move(self, problem, cost_model, budget, names,
+                   units_by_name, current_cost):
         """Evaluate the whole move frontier in one ``cost_many`` batch.
 
         The frontier of one greedy step is a single in-flight batch:
         the budget is re-checked at the step boundary, never inside it.
-        Candidate scoring (same strictly-better-by-1e-12 rule, same
-        frontier order) is unchanged from the serial path.
+        The first candidate in frontier order that beats the best cost
+        so far by more than 1e-12 wins.
         """
         candidates = list(self._moves(problem, names, units_by_name))
         if not candidates:
@@ -638,8 +601,7 @@ class DynamicProgrammingSearch(SearchAlgorithm):
         budget = self._budget()
         memo: Dict[Tuple[int, Tuple[int, ...]], Tuple[float, Optional[tuple]]] = {}
         #: Per-(workload, choice) option costs — the DP's own view of the
-        #: cost surface, filled in budget-capped batches when an engine
-        #: is attached, one singleton batch at a time otherwise.
+        #: cost surface, filled in budget-capped batches state by state.
         local: Dict[Tuple[int, Tuple[int, ...]], float] = {}
 
         min_units = [self._min_units(problem, kind) for kind in resources]
@@ -668,8 +630,7 @@ class DynamicProgrammingSearch(SearchAlgorithm):
             """Cost this state's uncached options in capped batches.
 
             Fills ``local`` as a prefix of the option order, so a budget
-            trip mid-state leaves exactly the options the serial path
-            would have seen.
+            trip mid-state leaves the state a prefix of its options.
             """
             missing = [choice for choice in choices
                        if (i, choice) not in local]
@@ -693,18 +654,9 @@ class DynamicProgrammingSearch(SearchAlgorithm):
                 return memo[key]
             best = (float("inf"), None)
             choices = list(options(i, remaining))
-            if self.engine is not None:
-                fill_local(i, choices)
+            fill_local(i, choices)
             for choice in choices:
-                if self.engine is None:
-                    if budget.exhausted():
-                        break  # keep whatever this state has seen so far
-                    if (i, choice) not in local:
-                        outcome = cost_model.cost_many(
-                            [pair_for(i, choice)], engine=self.engine)
-                        budget.add(outcome.fresh)
-                        local[(i, choice)] = outcome.costs[0]
-                elif (i, choice) not in local:
+                if (i, choice) not in local:
                     break  # budget tripped before this option was costed
                 here = local[(i, choice)]
                 rest, _ = solve(
@@ -719,6 +671,11 @@ class DynamicProgrammingSearch(SearchAlgorithm):
 
         start = tuple(self.grid for _ in resources)
         total_cost, _ = solve(0, start)
+        # ``solve`` calls itself through its closure cell: a reference
+        # cycle that would keep the cost model, and every what-if
+        # optimizer and memo entry it holds, alive until the next full
+        # garbage collection. Dropping the name breaks the cycle.
+        del solve
         if total_cost == float("inf"):
             if budget.stopped:
                 # The budget tripped before any complete solution was
@@ -732,7 +689,7 @@ class DynamicProgrammingSearch(SearchAlgorithm):
         units_by_name: Dict[str, Dict[ResourceKind, int]] = {}
         remaining = start
         for i, name in enumerate(names):
-            _cost, choice = solve(i, remaining)
+            _cost, choice = memo[(i, remaining)]  # solved on the way down
             assert choice is not None
             units_by_name[name] = {
                 kind: choice[r] for r, kind in enumerate(resources)

@@ -230,9 +230,9 @@ def make_engine(workers: Optional[int],
                 pool: str = "thread") -> Optional[EvaluationEngine]:
     """Engine from CLI-style arguments; ``None`` workers means serial.
 
-    ``workers=None`` (flag absent) returns ``None`` so callers keep the
-    legacy unbatched code path; ``workers=0`` sizes the pool to the
-    host's CPU count.
+    ``workers=None`` (flag absent) returns ``None``: searches run the
+    same batched strategy and evaluate each batch in the calling
+    process. ``workers=0`` sizes the pool to the host's CPU count.
     """
     if workers is None:
         return None

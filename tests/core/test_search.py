@@ -5,7 +5,10 @@ optimality be checked exactly: DP and exhaustive search must agree, and
 greedy must never beat them.
 """
 
+import gc
 import itertools
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -19,6 +22,7 @@ from repro.core.search import (
     make_algorithm,
 )
 from repro.engine.database import Database
+from repro.parallel import EvaluationEngine
 from repro.util.errors import AllocationError
 from repro.virt.machine import PhysicalMachine
 from repro.virt.resources import ResourceKind, ResourceVector
@@ -126,6 +130,27 @@ class TestExhaustive:
         assert result.total_cost == pytest.approx(
             brute_force_optimum(weights, 6)
         )
+
+    def test_enumeration_holds_a_bounded_chunk_of_combinations(self):
+        # 29 241 combinations; on a warm memo a chunk meets no uncosted
+        # pair, so a chunk ended only by new pairs would hold all of
+        # them at once (~1.2 MiB traced). A one-worker engine and
+        # engine=None run the same enumeration.
+        weights = {"a": (8.0, 1.0), "b": (1.0, 8.0), "c": (4.0, 4.0)}
+        problem, model = make_problem(weights)
+        with EvaluationEngine(workers=1) as engine:
+            cold = ExhaustiveSearch(grid=20, engine=engine).search(
+                problem, model)
+            tracemalloc.start()
+            try:
+                warm = ExhaustiveSearch(grid=20, engine=engine).search(
+                    problem, model)
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert warm.evaluations == 0
+        assert warm.total_cost == cold.total_cost
+        assert peak < 0.75 * 2**20
 
 
 class TestDynamicProgramming:
@@ -278,3 +303,20 @@ class TestBudgets:
             ExhaustiveSearch(grid=4, max_evaluations=0)
         with pytest.raises(AllocationError):
             ExhaustiveSearch(grid=4, deadline_seconds=0.0)
+
+
+@pytest.mark.parametrize("algorithm",
+                         ["exhaustive", "greedy", "dynamic-programming"])
+def test_search_frees_the_cost_model_without_the_cycle_collector(algorithm):
+    # A reference cycle through a search's closures would keep the cost
+    # model (for the optimizer model: every what-if optimizer and memo
+    # entry) alive until the next full garbage collection.
+    problem, model = make_problem(WEIGHTS_SKEWED)
+    freed = weakref.ref(model)
+    gc.disable()
+    try:
+        make_algorithm(algorithm, grid=6).search(problem, model)
+        del model
+        assert freed() is None
+    finally:
+        gc.enable()

@@ -3,7 +3,8 @@
 The contract under test: a search run through an
 :class:`EvaluationEngine` with N workers is *bit-identical* — same
 allocation, same total cost, same evaluation count, same stopped flag —
-to the same search at 1 worker, for every algorithm and pool kind.
+to the same search at 1 worker and with no engine at all, for every
+algorithm and pool kind.
 
 Also home to the evaluation-accounting regression test: two searches
 interleaving on one shared cost model must each report exactly their
@@ -99,24 +100,14 @@ class TestBitIdentity:
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_budget_stop_parity(self, algorithm):
         # A tight budget must trip at the same point (same spend, same
-        # best-so-far allocation) regardless of the worker count,
-        # because batch boundaries never depend on it.
-        with EvaluationEngine(workers=1) as serial:
-            baseline, _ = run_search(algorithm, serial, max_evaluations=5)
-        with EvaluationEngine(workers=4, pool="thread") as engine:
-            result, _ = run_search(algorithm, engine, max_evaluations=5)
+        # best-so-far allocation) with no engine, one worker or four,
+        # because batch boundaries never depend on the engine.
+        baseline, _ = run_search(algorithm, None, max_evaluations=5)
         assert baseline.stopped
-        assert fingerprint(result) == fingerprint(baseline)
-
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-    def test_batched_engine_path_matches_unbatched_legacy_path(self, algorithm):
-        # The engine-attached strategies rework the evaluation order but
-        # must land on the same design, cost, and spend as the original
-        # unbatched code path (engine=None).
-        legacy, _ = run_search(algorithm, None)
-        with EvaluationEngine(workers=1) as serial:
-            batched, _ = run_search(algorithm, serial)
-        assert fingerprint(batched) == fingerprint(legacy)
+        for workers in (1, 4):
+            with EvaluationEngine(workers=workers, pool="thread") as engine:
+                result, _ = run_search(algorithm, engine, max_evaluations=5)
+            assert fingerprint(result) == fingerprint(baseline), workers
 
 
 class TestEvaluationAccounting:

@@ -8,9 +8,11 @@ plan. And the crash-recovery property composes with it: a run killed at
 a unit boundary under one worker count can be resumed under another,
 because the journal's identity deliberately excludes the worker count.
 
-(The engine-less legacy path uses a sequential fault stream, so it is
-only comparable to the engine paths under a benign plan; that cross-path
-check lives here too.)
+(Without an engine the searches are the same, but the calibration
+runner draws every trial from one sequential fault stream instead of a
+forked stream per trial — the only engine-dependent difference left —
+so an engine-less run is only comparable to engine runs under a benign
+plan; that cross-path check lives here too.)
 """
 
 import pytest
@@ -29,8 +31,8 @@ def parallel_baseline(recovery_problem, turbulent_plan, tmp_path_factory):
 
     This is the reference the worker-count equivalence tests compare
     against. It is NOT the package ``baseline`` fixture: that one runs
-    the legacy engine-less path, whose sequential fault stream differs
-    from the engine path's per-trial forked streams by design.
+    without an engine, where calibration trials share one sequential
+    fault stream instead of the engine's per-trial forked streams.
     """
     path = tmp_path_factory.mktemp("parallel-baseline") / "run.journal"
     supervisor = make_supervisor(recovery_problem, path, turbulent_plan,
@@ -115,16 +117,16 @@ class TestKillResumeAcrossWorkerCounts:
 class TestLegacyPathAgreementUnderBenignPlan:
     def test_engineless_and_parallel_agree_without_faults(
             self, recovery_problem, tmp_path):
-        """With no faults and no noise there is only one truth: the
-        legacy unbatched path and a 4-worker engine run must journal
-        identical records (greedy's batched frontier evaluates in the
-        same first-appearance order as its serial probe loop)."""
+        """With no faults and no noise there is only one truth: an
+        engine-less run and a 4-worker engine run must journal identical
+        records (the calibration trial stream, the one thing the engine
+        changes, only differs under faults)."""
         benign = FaultPlan(name="none")
-        legacy_path = tmp_path / "legacy.journal"
-        make_supervisor(recovery_problem, legacy_path, benign,
+        engineless_path = tmp_path / "engineless.journal"
+        make_supervisor(recovery_problem, engineless_path, benign,
                         watchdog_probes=0).run()
         engine_path = tmp_path / "engine.journal"
         make_supervisor(recovery_problem, engine_path, benign,
                         watchdog_probes=0, workers=4).run()
         assert (journal_fingerprint(RunJournal.open(engine_path))
-                == journal_fingerprint(RunJournal.open(legacy_path)))
+                == journal_fingerprint(RunJournal.open(engineless_path)))
