@@ -4,7 +4,8 @@ Unlike the experiment benchmarks (which regenerate the paper's figures
 with single-shot runs), these time the substrate's hot paths over many
 rounds, so performance regressions in the engine itself are visible in
 the pytest-benchmark table: B+-tree lookups, buffer-pool access, LIKE
-matching, expression evaluation, and an end-to-end aggregation query.
+matching, compiled-expression evaluation, and an end-to-end aggregation
+query.
 """
 
 import pytest
@@ -60,14 +61,13 @@ def test_micro_bufferpool_access(benchmark):
 
 
 def test_micro_like_matching(benchmark):
-    expr = LikeExpr(Literal("the quick brown fox jumps over the lazy dog"),
-                    "%quick%lazy%")
-    ctx = EvalContext()
+    expr, _ops = LikeExpr(Literal("the quick brown fox jumps over the lazy dog"),
+                          "%quick%lazy%").compile(RowLayout([]), EvalContext())
 
     def match():
         result = True
         for _ in range(1000):
-            result = expr.eval((), ctx)
+            result = expr(())
         return result
 
     assert benchmark(match) is True
@@ -80,12 +80,11 @@ def test_micro_expression_eval(benchmark):
         BinaryOp("<", ColumnRef("t", "a"), Literal(500)),
         BinaryOp(">=", BinaryOp("*", ColumnRef("t", "b"), Literal(3)),
                  Literal(10)),
-    ).bind(layout)
+    ).compile(layout, EvalContext())[0]
     rows = [(i, i % 7) for i in range(1000)]
-    ctx = EvalContext()
 
     def evaluate():
-        return sum(1 for row in rows if expr.eval(row, ctx) is True)
+        return sum(1 for row in rows if expr(row) is True)
 
     benchmark(evaluate)
 

@@ -8,7 +8,10 @@ random read), tuples and predicate steps are charged at the rates in
 input exceeds sort memory. The trace a plan produces is defined by
 row-by-row charging order; operators count their per-row steps and
 charge them through :meth:`WorkTrace.add_cpu_repeated`, which lands on
-the double those additions would.
+the double those additions would. Each operator compiles its
+expressions once (:meth:`repro.engine.expr.Expr.compile`) and charges
+their static step count times the number of evaluations after its row
+loop; only short-circuit steps and LIKE bytes are counted per row.
 
 Operators materialize their outputs as lists of tuples. At the scales
 this library runs (TPC-H scale factors well below 0.1) materialization
@@ -23,10 +26,21 @@ from typing import Dict, List, Optional
 
 from repro.engine.bufferpool import BufferPool
 from repro.engine.catalog import Catalog
-from repro.engine.expr import EvalContext, Expr
+from repro.engine.expr import (
+    Compiled,
+    EvalContext,
+    Expr,
+    Literal,
+    RowLayout,
+    SubplanExpr,
+    compile_row,
+    contains_subplan,
+    map_children,
+)
 from repro.engine.plans import (
     AggFunc,
     Aggregate,
+    AggSpec,
     Filter,
     HashJoin,
     IndexScan,
@@ -38,7 +52,7 @@ from repro.engine.plans import (
     Project,
     SeqScan,
     Sort,
-    SortKey,
+    walk,
 )
 from repro.engine.trace import (
     CPU_AGG_TRANSITION_UNITS,
@@ -105,64 +119,48 @@ class Executor:
         outer query, so they execute exactly once (their work is charged
         to this execution's trace) before the outer plan runs.
         """
-        from repro.engine.expr import SubplanExpr, map_children
-        from repro.engine.plans import walk
-
         values: Dict[int, Value] = {}
 
-        def resolve(expr: Expr) -> Expr:
-            if isinstance(expr, SubplanExpr):
-                key = id(expr)
-                if key not in values:
-                    if expr.plan is None:
-                        raise PlanningError(
-                            "scalar subquery was never planned"
-                        )
-                    rows = self._execute(expr.plan)
-                    if len(rows) > 1:
-                        raise PlanningError(
-                            "scalar subquery returned more than one row"
-                        )
-                    values[key] = rows[0][0] if rows else None
-                from repro.engine.expr import Literal
+        def resolve(expr: Optional[Expr]) -> Optional[Expr]:
+            return self._resolve(expr, values) if contains_subplan(expr) else expr
 
-                return Literal(values[key])
-            return map_children(expr, resolve)
+        for node in walk(plan):
+            if isinstance(node, (SeqScan, IndexScan)):
+                node.filter_expr = resolve(node.filter_expr)
+            elif isinstance(node, HashJoin):
+                node.outer_keys = [resolve(k) for k in node.outer_keys]
+                node.inner_keys = [resolve(k) for k in node.inner_keys]
+                node.residual = resolve(node.residual)
+            elif isinstance(node, NestedLoopJoin):
+                node.predicate = resolve(node.predicate)
+            elif isinstance(node, MergeJoin):
+                node.outer_key = resolve(node.outer_key)
+                node.inner_key = resolve(node.inner_key)
+            elif isinstance(node, Sort):
+                for key in node.keys:
+                    key.expr = resolve(key.expr)
+            elif isinstance(node, Aggregate):
+                node.group_keys = [resolve(k) for k in node.group_keys]
+                for spec in node.aggregates:
+                    spec.arg = resolve(spec.arg)
+                node.having = resolve(node.having)
+            elif isinstance(node, Filter):
+                node.predicate = resolve(node.predicate)
+            elif isinstance(node, Project):
+                node.exprs = [resolve(e) for e in node.exprs]
 
-        def resolve_optional(expr: Optional[Expr]) -> Optional[Expr]:
-            return resolve(expr) if expr is not None else None
-
-        try:
-            for node in walk(plan):
-                if isinstance(node, (SeqScan, IndexScan)):
-                    node.filter_expr = resolve_optional(node.filter_expr)
-                elif isinstance(node, HashJoin):
-                    node.outer_keys = [resolve(k) for k in node.outer_keys]
-                    node.inner_keys = [resolve(k) for k in node.inner_keys]
-                    node.residual = resolve_optional(node.residual)
-                elif isinstance(node, NestedLoopJoin):
-                    node.predicate = resolve_optional(node.predicate)
-                elif isinstance(node, MergeJoin):
-                    node.outer_key = resolve(node.outer_key)
-                    node.inner_key = resolve(node.inner_key)
-                elif isinstance(node, Sort):
-                    for key in node.keys:
-                        key.expr = resolve(key.expr)
-                elif isinstance(node, Aggregate):
-                    node.group_keys = [resolve(k) for k in node.group_keys]
-                    for spec in node.aggregates:
-                        if spec.arg is not None:
-                            spec.arg = resolve(spec.arg)
-                    node.having = resolve_optional(node.having)
-                elif isinstance(node, Filter):
-                    node.predicate = resolve(node.predicate)
-                elif isinstance(node, Project):
-                    node.exprs = [resolve(e) for e in node.exprs]
-        finally:
-            # ``resolve`` refers to itself (and so to this executor and
-            # its catalog) through its closure cell; clearing the cell
-            # lets the whole database die by refcount.
-            del resolve
+    def _resolve(self, expr: Expr, values: Dict[int, Value]) -> Expr:
+        if not isinstance(expr, SubplanExpr):
+            return map_children(expr, lambda child: self._resolve(child, values))
+        key = id(expr)
+        if key not in values:
+            if expr.plan is None:
+                raise PlanningError("scalar subquery was never planned")
+            rows = self._execute(expr.plan)
+            if len(rows) > 1:
+                raise PlanningError("scalar subquery returned more than one row")
+            values[key] = rows[0][0] if rows else None
+        return Literal(values[key])
 
     # -- dispatch -----------------------------------------------------------
 
@@ -172,27 +170,10 @@ class Executor:
         return rows
 
     def _execute_node(self, plan: PlanNode) -> List[tuple]:
-        if isinstance(plan, SeqScan):
-            return self._seq_scan(plan)
-        if isinstance(plan, IndexScan):
-            return self._index_scan(plan)
-        if isinstance(plan, HashJoin):
-            return self._hash_join(plan)
-        if isinstance(plan, NestedLoopJoin):
-            return self._nested_loop_join(plan)
-        if isinstance(plan, MergeJoin):
-            return self._merge_join(plan)
-        if isinstance(plan, Sort):
-            return self._sort(plan)
-        if isinstance(plan, Aggregate):
-            return self._aggregate(plan)
-        if isinstance(plan, Filter):
-            return self._filter(plan)
-        if isinstance(plan, Project):
-            return self._project(plan)
-        if isinstance(plan, Limit):
-            return self._limit(plan)
-        raise PlanningError(f"executor cannot run node {type(plan).__name__}")
+        operator = _OPERATORS.get(type(plan))
+        if operator is None:
+            raise PlanningError(f"executor cannot run node {type(plan).__name__}")
+        return operator(self, plan)
 
     # -- scans ---------------------------------------------------------------
 
@@ -202,8 +183,8 @@ class Executor:
         pool = self._ctx.buffer_pool
         trace = self._ctx.trace
         use_ring = pool.should_use_ring(heap.n_pages)
-        predicate = _bind_optional(plan.filter_expr, plan.layout)
         eval_ctx = EvalContext()
+        predicate, ops = _compile_optional(plan.filter_expr, plan.layout, eval_ctx)
         rows = heap.rows
         # An empty heap has no pages (and its schema may not fit one).
         per_page = heap.rows_per_page() if rows else 1
@@ -218,7 +199,8 @@ class Executor:
         if predicate is None:
             out = list(rows)
         else:
-            out = [row for row in rows if predicate.eval(row, eval_ctx) is True]
+            out = [row for row in rows if predicate(row) is True]
+            eval_ctx.ops += ops * len(rows)
         self._ctx.charge_eval(eval_ctx)
         return out
 
@@ -240,14 +222,15 @@ class Executor:
         per_page = heap.rows_per_page() if rows else 1
         pool = self._ctx.buffer_pool
         trace = self._ctx.trace
-        predicate = _bind_optional(plan.filter_expr, plan.layout)
         eval_ctx = EvalContext()
+        predicate, ops = _compile_optional(plan.filter_expr, plan.layout, eval_ctx)
         out: List[tuple] = []
         per_tuple_units = CPU_INDEX_TUPLE_UNITS + CPU_TUPLE_UNITS
 
         for page_no in tree.descend_pages(plan.low):
             pool.access(tree.file_id, page_no, trace, sequential=False)
         last_leaf = -1
+        fetched = 0
         for _key, position, leaf_page in tree.range_scan(
             plan.low, plan.high, plan.low_inclusive, plan.high_inclusive
         ):
@@ -259,10 +242,12 @@ class Executor:
             pool.access(heap.file_id, position // per_page, trace,
                         sequential=False)
             trace.add_tuples(1, per_tuple_units)
-            trace.index_tuples += 1
+            fetched += 1
             row = rows[position]
-            if predicate is None or predicate.eval(row, eval_ctx) is True:
+            if predicate is None or predicate(row) is True:
                 out.append(row)
+        trace.index_tuples += fetched
+        eval_ctx.ops += ops * fetched
         self._ctx.charge_eval(eval_ctx)
         return out
 
@@ -275,49 +260,56 @@ class Executor:
         trace.add_cpu(CPU_OPERATOR_STARTUP_UNITS)
         eval_ctx = EvalContext()
 
-        outer_keys = [k.bind(plan.outer.layout) for k in plan.outer_keys]
-        inner_keys = [k.bind(plan.inner.layout) for k in plan.inner_keys]
-        residual = _bind_optional(
-            plan.residual, plan.outer.layout.concat(plan.inner.layout))
+        outer_key, outer_ops = compile_row(plan.outer_keys, plan.outer.layout, eval_ctx)
+        inner_key, inner_ops = compile_row(plan.inner_keys, plan.inner.layout, eval_ctx)
+        residual, residual_ops = _compile_optional(
+            plan.residual, plan.outer.layout.concat(plan.inner.layout), eval_ctx)
 
         # Build phase on the inner side: one hash charge per row.
         trace.add_cpu_repeated(len(inner_rows), CPU_HASH_UNITS)
         table: Dict[tuple, List[tuple]] = {}
         for row in inner_rows:
-            key = tuple(k.eval(row, eval_ctx) for k in inner_keys)
-            if any(part is None for part in key):
+            key = inner_key(row)
+            if None in key:
                 continue  # NULL keys never join
-            table.setdefault(key, []).append(row)
+            bucket = table.get(key)
+            if bucket is None:
+                table[key] = [row]
+            else:
+                bucket.append(row)
 
         # Probe phase: a hash charge per outer row, then a step per
         # candidate match. The two rates alternate, so they are summed
         # in that order in a local and stored back once.
         cpu = trace.cpu_units
-        null_inner = (None,) * len(plan.inner.layout)
+        join_type = plan.join_type
+        pairs = join_type is JoinType.INNER or join_type is JoinType.LEFT
+        semi = join_type is JoinType.SEMI
+        tail = join_type is not JoinType.INNER
+        unmatched = ((None,) * len(plan.inner.layout)
+                     if join_type is JoinType.LEFT else None)
         out: List[tuple] = []
+        tested = 0
         for row in outer_rows:
-            key = tuple(k.eval(row, eval_ctx) for k in outer_keys)
+            key = outer_key(row)
             cpu += CPU_HASH_UNITS
-            matches = [] if any(part is None for part in key) else table.get(key, [])
             matched = False
-            for inner_row in matches:
+            for inner_row in () if None in key else table.get(key, ()):
                 cpu += CPU_OPERATOR_UNITS
                 if residual is not None:
-                    combined = row + inner_row
-                    if residual.eval(combined, eval_ctx) is not True:
+                    tested += 1
+                    if residual(row + inner_row) is not True:
                         continue
                 matched = True
-                if plan.join_type in (JoinType.INNER, JoinType.LEFT):
+                if pairs:
                     out.append(row + inner_row)
-                elif plan.join_type is JoinType.SEMI:
+                elif semi:
                     break
-            if plan.join_type is JoinType.SEMI and matched:
-                out.append(row)
-            elif plan.join_type is JoinType.ANTI and not matched:
-                out.append(row)
-            elif plan.join_type is JoinType.LEFT and not matched:
-                out.append(row + null_inner)
+            if tail:
+                _emit_unmatched(out, row, matched, join_type, unmatched)
         trace.cpu_units = cpu
+        eval_ctx.ops += (inner_ops * len(inner_rows) + outer_ops * len(outer_rows)
+                         + residual_ops * tested)
         self._ctx.charge_eval(eval_ctx)
         return out
 
@@ -328,8 +320,13 @@ class Executor:
         trace.add_cpu(CPU_OPERATOR_STARTUP_UNITS)
         eval_ctx = EvalContext()
         combined_layout = plan.outer.layout.concat(plan.inner.layout)
-        predicate = _bind_optional(plan.predicate, combined_layout)
-        null_inner = (None,) * len(plan.inner.layout)
+        predicate, ops = _compile_optional(plan.predicate, combined_layout, eval_ctx)
+        join_type = plan.join_type
+        pairs = join_type is JoinType.INNER or join_type is JoinType.LEFT
+        semi = join_type is JoinType.SEMI
+        tail = join_type is not JoinType.INNER
+        unmatched = ((None,) * len(plan.inner.layout)
+                     if join_type is JoinType.LEFT else None)
         out: List[tuple] = []
         pairs_examined = 0
         for row in outer_rows:
@@ -337,20 +334,17 @@ class Executor:
             for inner_row in inner_rows:
                 pairs_examined += 1
                 combined = row + inner_row
-                if predicate is not None and predicate.eval(combined, eval_ctx) is not True:
+                if predicate is not None and predicate(combined) is not True:
                     continue
                 matched = True
-                if plan.join_type in (JoinType.INNER, JoinType.LEFT):
+                if pairs:
                     out.append(combined)
-                elif plan.join_type is JoinType.SEMI:
+                elif semi:
                     break
-            if plan.join_type is JoinType.SEMI and matched:
-                out.append(row)
-            elif plan.join_type is JoinType.ANTI and not matched:
-                out.append(row)
-            elif plan.join_type is JoinType.LEFT and not matched:
-                out.append(row + null_inner)
+            if tail:
+                _emit_unmatched(out, row, matched, join_type, unmatched)
         trace.add_cpu_repeated(pairs_examined, CPU_OPERATOR_UNITS)
+        eval_ctx.ops += ops * pairs_examined
         self._ctx.charge_eval(eval_ctx)
         return out
 
@@ -360,16 +354,18 @@ class Executor:
         trace = self._ctx.trace
         trace.add_cpu(CPU_OPERATOR_STARTUP_UNITS)
         eval_ctx = EvalContext()
-        outer_key = plan.outer_key.bind(plan.outer.layout)
-        inner_key = plan.inner_key.bind(plan.inner.layout)
+        outer_key, outer_ops = plan.outer_key.compile(plan.outer.layout, eval_ctx)
+        inner_key, inner_ops = plan.inner_key.compile(plan.inner.layout, eval_ctx)
 
         out: List[tuple] = []
         i = j = 0
         n_outer, n_inner = len(outer_rows), len(inner_rows)
-        steps = 0
+        steps = outer_evals = inner_evals = 0
         while i < n_outer and j < n_inner:
-            ok = outer_key.eval(outer_rows[i], eval_ctx)
-            ik = inner_key.eval(inner_rows[j], eval_ctx)
+            ok = outer_key(outer_rows[i])
+            ik = inner_key(inner_rows[j])
+            outer_evals += 1
+            inner_evals += 1
             steps += 1
             if ok is None:
                 i += 1
@@ -385,14 +381,14 @@ class Executor:
                 # Emit the cross product of the equal groups.
                 j_end = j
                 while j_end < n_inner:
-                    k = inner_key.eval(inner_rows[j_end], eval_ctx)
-                    if k != ok:
+                    inner_evals += 1
+                    if inner_key(inner_rows[j_end]) != ok:
                         break
                     j_end += 1
                 i_run = i
                 while i_run < n_outer:
-                    k = outer_key.eval(outer_rows[i_run], eval_ctx)
-                    if k != ok:
+                    outer_evals += 1
+                    if outer_key(outer_rows[i_run]) != ok:
                         break
                     for jj in range(j, j_end):
                         steps += 1
@@ -401,6 +397,7 @@ class Executor:
                 i = i_run
                 j = j_end
         trace.add_cpu_repeated(steps, CPU_OPERATOR_UNITS)
+        eval_ctx.ops += outer_ops * outer_evals + inner_ops * inner_evals
         self._ctx.charge_eval(eval_ctx)
         return out
 
@@ -411,7 +408,8 @@ class Executor:
         trace = self._ctx.trace
         trace.add_cpu(CPU_OPERATOR_STARTUP_UNITS)
         eval_ctx = EvalContext()
-        keys = [SortKey(k.expr.bind(plan.input.layout), k.ascending) for k in plan.keys]
+        keys = [(k.expr.compile(plan.input.layout, eval_ctx), k.ascending)
+                for k in plan.keys]
 
         n = len(rows)
         if n > 1:
@@ -425,14 +423,15 @@ class Executor:
             trace.add_page_write(input_pages)
             trace.add_seq_read(input_pages)
 
-        # Stable multi-pass sort, last key first; NULLs sort last.
-        for key in reversed(keys):
-            expr = key.expr
-            if key.ascending:
-                rows.sort(key=lambda row: _asc_key(expr.eval(row, eval_ctx)))
+        # Stable multi-pass sort, last key first; NULLs sort last. Each
+        # pass evaluates its key once per row.
+        for (key, ops), ascending in reversed(keys):
+            if ascending:
+                rows.sort(key=lambda row: ((v := key(row)) is None, v))
             else:
-                rows.sort(key=lambda row: _desc_key(expr.eval(row, eval_ctx)),
+                rows.sort(key=lambda row: ((v := key(row)) is not None, v),
                           reverse=True)
+            eval_ctx.ops += ops * n
         self._ctx.charge_eval(eval_ctx)
         return rows
 
@@ -441,55 +440,51 @@ class Executor:
         trace = self._ctx.trace
         trace.add_cpu(CPU_OPERATOR_STARTUP_UNITS)
         eval_ctx = EvalContext()
-        group_keys = [k.bind(plan.input.layout) for k in plan.group_keys]
-        agg_args = [
-            spec.arg.bind(plan.input.layout) if spec.arg is not None else None
-            for spec in plan.aggregates
-        ]
+        layout = plan.input.layout
+        group_key, ops = compile_row(plan.group_keys, layout, eval_ctx)
+        specs = plan.aggregates
+        updates = []
+        for spec in specs:
+            arg, arg_ops = (spec.arg if spec.arg is not None else _ROW).compile(
+                layout, eval_ctx)
+            ops += arg_ops
+            update = _UPDATES[spec.func]
+            if spec.distinct and spec.func is not AggFunc.COUNT_STAR:
+                update = _distinct(update)
+            updates.append((update, arg))
 
         per_row_units = (CPU_HASH_UNITS
-                         + CPU_AGG_TRANSITION_UNITS * max(1, len(plan.aggregates)))
+                         + CPU_AGG_TRANSITION_UNITS * max(1, len(specs)))
         trace.add_cpu_repeated(len(rows), per_row_units)
 
         groups: Dict[tuple, List[_AggState]] = {}
-        order: List[tuple] = []
-        if (rows and not group_keys
-                and all(spec.func is AggFunc.COUNT_STAR
-                        for spec in plan.aggregates)):
+        if (rows and not plan.group_keys
+                and all(spec.func is AggFunc.COUNT_STAR for spec in specs)):
             # Global COUNT(*): no keys to evaluate, no args to feed —
             # the whole input collapses to one count per state.
-            states = [_AggState(spec.func, spec.distinct)
-                      for spec in plan.aggregates]
-            for state in states:
-                state.count = len(rows)
-            groups[()] = states
-            order.append(())
+            groups[()] = [_AggState(spec, count=len(rows)) for spec in specs]
         else:
             for row in rows:
-                key = tuple(k.eval(row, eval_ctx) for k in group_keys)
+                key = group_key(row)
                 states = groups.get(key)
                 if states is None:
-                    states = [_AggState(spec.func, spec.distinct)
-                              for spec in plan.aggregates]
-                    groups[key] = states
-                    order.append(key)
-                for state, arg in zip(states, agg_args):
-                    value = arg.eval(row, eval_ctx) if arg is not None else None
-                    state.update(value)
+                    states = groups[key] = [_AggState(spec) for spec in specs]
+                for (update, arg), state in zip(updates, states):
+                    update(state, arg(row))
+            eval_ctx.ops += ops * len(rows)
 
-        if not group_keys and not groups:
+        if not plan.group_keys and not groups:
             # Global aggregate over an empty input still yields one row.
-            groups[()] = [_AggState(spec.func, spec.distinct)
-                          for spec in plan.aggregates]
-            order.append(())
+            groups[()] = [_AggState(spec) for spec in specs]
 
-        having = _bind_optional(plan.having, plan.layout)
+        having, having_ops = _compile_optional(plan.having, plan.layout, eval_ctx)
         out: List[tuple] = []
-        for key in order:
-            result = key + tuple(state.finalize() for state in groups[key])
+        for key, states in groups.items():  # first-seen order
+            result = key + tuple(state.finalize() for state in states)
             if having is not None:
                 trace.add_cpu(CPU_OPERATOR_UNITS)
-                if having.eval(result, eval_ctx) is not True:
+                eval_ctx.ops += having_ops
+                if having(result) is not True:
                     continue
             out.append(result)
         self._ctx.charge_eval(eval_ctx)
@@ -499,9 +494,10 @@ class Executor:
         rows = self._execute(plan.input)
         trace = self._ctx.trace
         eval_ctx = EvalContext()
-        predicate = plan.predicate.bind(plan.input.layout)
+        predicate, ops = plan.predicate.compile(plan.input.layout, eval_ctx)
         trace.add_cpu_repeated(len(rows), CPU_OPERATOR_UNITS)
-        out = [row for row in rows if predicate.eval(row, eval_ctx) is True]
+        out = [row for row in rows if predicate(row) is True]
+        eval_ctx.ops += ops * len(rows)
         self._ctx.charge_eval(eval_ctx)
         return out
 
@@ -510,8 +506,9 @@ class Executor:
         trace = self._ctx.trace
         trace.add_cpu(CPU_OPERATOR_STARTUP_UNITS)
         eval_ctx = EvalContext()
-        exprs = [e.bind(plan.input.layout) for e in plan.exprs]
-        out = [tuple(e.eval(row, eval_ctx) for e in exprs) for row in rows]
+        project, ops = compile_row(plan.exprs, plan.input.layout, eval_ctx)
+        out = list(map(project, rows))
+        eval_ctx.ops += ops * len(rows)
         self._ctx.charge_eval(eval_ctx)
         return out
 
@@ -520,63 +517,92 @@ class Executor:
         return rows[: plan.count]
 
 
+def _emit_unmatched(out: List[tuple], row: tuple, matched: bool,
+                    join_type: JoinType, unmatched: Optional[tuple]) -> None:
+    """A join's per-outer-row tail: SEMI keeps matched rows, ANTI the
+    unmatched ones, LEFT pads unmatched ones with NULLs."""
+    if matched:
+        if join_type is JoinType.SEMI:
+            out.append(row)
+    elif join_type is JoinType.ANTI:
+        out.append(row)
+    elif unmatched is not None:
+        out.append(row + unmatched)
+
+
 class _AggState:
-    """Running state of one aggregate."""
+    """Running state of one aggregate; fed by its function's updater."""
 
-    __slots__ = ("func", "count", "total", "extreme", "seen", "distinct_values")
+    __slots__ = ("func", "count", "total", "extreme", "distinct_values")
 
-    def __init__(self, func: AggFunc, distinct: bool = False):
-        self.func = func
-        self.count = 0
+    def __init__(self, spec: AggSpec, count: int = 0):
+        self.func = spec.func
+        self.count = count
         self.total: float = 0.0
         self.extreme: Optional[Value] = None
-        self.seen = False
         # Membership only, never iterated: the set's hash-salted order
         # cannot reach a result.
-        self.distinct_values: Optional[set] = set() if distinct else None
-
-    def update(self, value: Value) -> None:
-        func = self.func
-        if func is AggFunc.COUNT_STAR:
-            self.count += 1
-            return
-        if value is None:
-            return
-        if self.distinct_values is not None:
-            if value in self.distinct_values:
-                return
-            self.distinct_values.add(value)
-        self.seen = True
-        if func is AggFunc.COUNT:
-            self.count += 1
-        elif func in (AggFunc.SUM, AggFunc.AVG):
-            self.count += 1
-            self.total += value  # type: ignore[operator]
-        elif func is AggFunc.MIN:
-            if self.extreme is None or value < self.extreme:  # type: ignore[operator]
-                self.extreme = value
-        elif func is AggFunc.MAX:
-            if self.extreme is None or value > self.extreme:  # type: ignore[operator]
-                self.extreme = value
+        self.distinct_values: Optional[set] = set() if spec.distinct else None
 
     def finalize(self) -> Value:
         func = self.func
-        if func in (AggFunc.COUNT, AggFunc.COUNT_STAR):
+        if func is AggFunc.COUNT or func is AggFunc.COUNT_STAR:
             return self.count
         if func is AggFunc.SUM:
-            return self.total if self.seen else None
+            return self.total if self.count else None
         if func is AggFunc.AVG:
             return (self.total / self.count) if self.count else None
         return self.extreme
 
 
-def _bind_optional(expr: Optional[Expr], layout) -> Optional[Expr]:
-    return expr.bind(layout) if expr is not None else None
+def _count(state: _AggState, value: Value) -> None:
+    if value is not None:
+        state.count += 1
 
 
-def _asc_key(value: Value):
-    return (value is None, value)
+def _sum(state: _AggState, value: Value) -> None:
+    if value is not None:
+        state.count += 1
+        state.total += value  # type: ignore[operator]
 
 
-def _desc_key(value: Value):
-    return (value is not None, value)
+def _min(state: _AggState, value: Value) -> None:
+    if value is not None and (state.extreme is None or value < state.extreme):
+        state.extreme = value
+
+
+def _max(state: _AggState, value: Value) -> None:
+    if value is not None and (state.extreme is None or value > state.extreme):
+        state.extreme = value
+
+
+_UPDATES = {AggFunc.COUNT_STAR: _count, AggFunc.COUNT: _count,
+            AggFunc.SUM: _sum, AggFunc.AVG: _sum, AggFunc.MIN: _min,
+            AggFunc.MAX: _max}
+
+#: COUNT(*)'s argument: never NULL, no column, no step.
+_ROW = Literal(True)
+
+
+def _distinct(update):
+    """Feed *update* only values this state has not seen before."""
+    def update_distinct(state: _AggState, value: Value) -> None:
+        if value is not None and value not in state.distinct_values:
+            state.distinct_values.add(value)
+            update(state, value)
+
+    return update_distinct
+
+
+def _compile_optional(expr: Optional[Expr], layout: RowLayout,
+                      ctx: EvalContext) -> Compiled:
+    return expr.compile(layout, ctx) if expr is not None else (None, 0)
+
+
+_OPERATORS = {
+    SeqScan: Executor._seq_scan, IndexScan: Executor._index_scan,
+    HashJoin: Executor._hash_join, NestedLoopJoin: Executor._nested_loop_join,
+    MergeJoin: Executor._merge_join, Sort: Executor._sort,
+    Aggregate: Executor._aggregate, Filter: Executor._filter,
+    Project: Executor._project, Limit: Executor._limit,
+}

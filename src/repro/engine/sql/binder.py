@@ -65,18 +65,11 @@ class AggregateCall(Expr):
     arg: Optional[Expr]
     distinct: bool = False
 
-    def bind(self, layout):  # pragma: no cover - defensive
+    def compile(self, layout, ctx):  # pragma: no cover - defensive
         raise SqlError("aggregate call survived binding; planner bug")
 
-    def eval(self, row, ctx):  # pragma: no cover - defensive
-        raise SqlError("aggregate call cannot be evaluated directly")
-
-    def _collect_columns(self, out) -> None:
-        if self.arg is not None:
-            self.arg._collect_columns(out)
-
-    def op_count(self) -> int:
-        return 1 + (self.arg.op_count() if self.arg is not None else 0)
+    def children(self):
+        return () if self.arg is None else (self.arg,)
 
     def __str__(self) -> str:
         arg = "*" if self.arg is None else str(self.arg)
@@ -336,22 +329,18 @@ class Binder:
 
     def _reject_correlated_scalars(self, expr: Expr, where: str) -> None:
         """Correlated scalars are only decorrelated in WHERE conjuncts."""
-        def visit(node: Expr) -> Expr:
-            if isinstance(node, SubplanExpr):
-                sub = node.logical
-                local = set(sub.from_tree.aliases()) if sub.from_tree else set()
-                for conjunct in sub.where:
-                    refs = {alias for alias, _c in conjunct.columns()}
-                    if not refs <= local:
-                        raise SqlError(
-                            f"correlated scalar subqueries are not supported "
-                            f"in {where}"
-                        )
-            else:
-                map_children(node, visit)
-            return node
-
-        visit(expr)
+        if not isinstance(expr, SubplanExpr):
+            for child in expr.children():
+                self._reject_correlated_scalars(child, where)
+            return
+        sub = expr.logical
+        local = set(sub.from_tree.aliases()) if sub.from_tree else set()
+        for conjunct in sub.where:
+            refs = {alias for alias, _c in conjunct.columns()}
+            if not refs <= local:
+                raise SqlError(
+                    f"correlated scalar subqueries are not supported in {where}"
+                )
 
     @staticmethod
     def _correlation_pair(conjunct: Expr, local_aliases: set):
@@ -692,18 +681,8 @@ class _AggCollector:
 
 
 def _contains_aggregate(expr: Expr) -> bool:
-    if isinstance(expr, AggregateCall):
-        return True
-    if isinstance(expr, BinaryOp):
-        return _contains_aggregate(expr.left) or _contains_aggregate(expr.right)
-    if isinstance(expr, (NotExpr, IsNullExpr, LikeExpr, InListExpr)):
-        return _contains_aggregate(expr.operand)
-    if isinstance(expr, CaseExpr):
-        parts = [c for c, _v in expr.branches] + [v for _c, v in expr.branches]
-        if expr.default is not None:
-            parts.append(expr.default)
-        return any(_contains_aggregate(p) for p in parts)
-    return False
+    return isinstance(expr, AggregateCall) or any(
+        _contains_aggregate(child) for child in expr.children())
 
 
 def _default_name(expr: Expr, position: int) -> str:

@@ -39,7 +39,6 @@ from repro.engine.expr import (
     SubplanExpr,
     and_together,
     conjuncts,
-    map_children,
 )
 from repro.engine.plans import (
     Aggregate,
@@ -853,18 +852,16 @@ def _expr_aliases(expr: Expr) -> set:
     return {alias for alias, _column in expr.columns()}
 
 
-def _find_subplans(expr: Expr) -> List[SubplanExpr]:
-    """All :class:`SubplanExpr` nodes under *expr*, in no particular order."""
-    found: List[SubplanExpr] = []
-
-    def visit(node: Expr) -> Expr:
-        if isinstance(node, SubplanExpr):
-            found.append(node)
-        else:
-            map_children(node, visit)
-        return node
-
-    visit(expr)
+def _find_subplans(expr: Expr, found: Optional[List[SubplanExpr]] = None
+                   ) -> List[SubplanExpr]:
+    """All :class:`SubplanExpr` nodes under *expr*, in evaluation order."""
+    if found is None:
+        found = []
+    if isinstance(expr, SubplanExpr):
+        found.append(expr)
+    else:
+        for child in expr.children():
+            _find_subplans(child, found)
     return found
 
 

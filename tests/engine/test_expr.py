@@ -1,4 +1,4 @@
-"""Tests for expression evaluation (three-valued logic, LIKE, CASE)."""
+"""Tests for compiled expressions (three-valued logic, LIKE, CASE, op counts)."""
 
 import pytest
 
@@ -24,8 +24,12 @@ LAYOUT = RowLayout([("t", "a"), ("t", "b"), ("t", "c")])
 
 
 def evaluate(expr: Expr, row: tuple):
+    """Compile *expr* against LAYOUT, run it once, charge its static ops."""
     ctx = EvalContext()
-    return expr.bind(LAYOUT).eval(row, ctx), ctx
+    fn, static_ops = expr.compile(LAYOUT, ctx)
+    value = fn(row)
+    ctx.ops += static_ops
+    return value, ctx
 
 
 def col(name):
@@ -38,12 +42,13 @@ class TestColumnsAndLiterals:
         assert value == 2
 
     def test_unbound_column_raises(self):
+        # A column is resolved to its slot when compiled, not per row.
         with pytest.raises(PlanningError):
-            col("a").eval((1,), EvalContext())
+            col("a").compile(RowLayout([]), EvalContext())
 
     def test_unknown_slot_raises(self):
         with pytest.raises(PlanningError):
-            ColumnRef("t", "ghost").bind(LAYOUT)
+            ColumnRef("t", "ghost").compile(LAYOUT, EvalContext())
 
     def test_literal(self):
         value, ctx = evaluate(Literal(42), ())
@@ -250,3 +255,46 @@ class TestHelpers:
         combined = LAYOUT.concat(other)
         assert combined.index_of("u", "x") == 3
         assert combined.index_of("t", "a") == 0
+
+
+class TestCompiledOpCounts:
+    """The static count covers plain subtrees; short-circuits count per row."""
+
+    def test_plain_subtree_is_all_static(self):
+        expr = BinaryOp("<", BinaryOp("*", col("a"), Literal(2)),
+                        InListExpr(col("b"), (1, 2, 3)))
+        ctx = EvalContext()
+        fn, static_ops = expr.compile(LAYOUT, ctx)
+        for row in [(1, 2, 0), (None, None, 0)]:  # NULL skips no step
+            fn(row)
+        assert static_ops == expr.op_count() == 7
+        assert ctx.ops == 0
+
+    def test_and_charges_only_the_parts_it_reaches(self):
+        expr = BinaryOp("and", BinaryOp("and", BinaryOp("<", col("a"), Literal(5)),
+                                        BinaryOp("<", col("b"), Literal(5))),
+                        IsNullExpr(col("c")))
+        value, ctx = evaluate(expr, (9, 0, None))
+        assert (value, ctx.ops) == (False, 2 + 2)  # both "and" steps, first part
+        value, ctx = evaluate(expr, (0, 9, None))
+        assert (value, ctx.ops) == (False, 2 + 4)
+        value, ctx = evaluate(expr, (0, 0, None))
+        assert (value, ctx.ops) == (True, expr.op_count())
+
+    def test_case_charges_the_branch_taken(self):
+        expr = CaseExpr(((BinaryOp("<", col("a"), Literal(10)), col("b")),),
+                        default=col("c"))
+        assert evaluate(expr, (5, 0, 0))[1].ops == 1 + 2 + 1
+        assert evaluate(expr, (50, 0, 0))[1].ops == 1 + 2 + 1
+
+    def test_like_bytes_counted_per_row(self):
+        ctx = EvalContext()
+        fn, _ops = LikeExpr(col("c"), "%x%").compile(LAYOUT, ctx)
+        for subject in ("abc", None, "hello"):
+            fn((0, 0, subject))
+        assert ctx.like_bytes == 8
+
+    def test_children_in_evaluation_order(self):
+        expr = CaseExpr(((col("a"), col("b")),), default=col("c"))
+        assert expr.children() == (col("a"), col("b"), col("c"))
+        assert col("a").children() == ()

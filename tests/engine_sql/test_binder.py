@@ -223,6 +223,15 @@ class TestCorrelatedScalarDecorrelation:
                 "        where l_orderkey = o_orderkey) from orders"
             )
 
+    def test_correlated_scalar_inside_an_aggregate_rejected(self, binder):
+        # The rejection walks aggregate arguments too; it used to stop
+        # at the aggregate and leave an unplaceable conjunct to the planner.
+        with pytest.raises(SqlError, match="select list"):
+            binder.bind_sql(
+                "select sum((select avg(l_quantity) from lineitem "
+                "            where l_orderkey = o_orderkey)) from orders"
+            )
+
 
 class TestAggregation:
     def test_aggregates_extracted(self, binder):
@@ -245,6 +254,14 @@ class TestAggregation:
         refs = {column for _alias, column in expr.columns()}
         assert refs == {"agg_0", "agg_1"}
         assert len(query.aggregates) == 2
+
+    def test_aggregate_under_extract(self, binder):
+        # EXTRACT's operand is walked like any other child's.
+        query = binder.bind_sql(
+            "select extract(year from max(o_orderdate)) from orders"
+        )
+        assert [spec.func for spec in query.aggregates] == [AggFunc.MAX]
+        assert query.select_exprs[0].columns() == [("_agg", "agg_0")]
 
     def test_duplicate_aggregates_share_spec(self, binder):
         query = binder.bind_sql(

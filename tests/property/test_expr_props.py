@@ -1,8 +1,8 @@
-"""Property tests: expression evaluation agrees with Python semantics.
+"""Property tests: compiled expressions agree with Python semantics.
 
 Random arithmetic/comparison trees over two integer columns are
-evaluated by the engine and by a direct Python interpreter; the results
-must agree, including SQL's NULL propagation.
+compiled by the engine and evaluated by a direct Python interpreter;
+the results must agree, including SQL's NULL propagation.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -18,6 +18,12 @@ from repro.engine.expr import (
 )
 
 LAYOUT = RowLayout([("t", "a"), ("t", "b")])
+
+
+def run(expr, row, ctx=None):
+    """Compile *expr* once and evaluate it over *row*."""
+    fn, _static_ops = expr.compile(LAYOUT, ctx if ctx is not None else EvalContext())
+    return fn(row)
 
 values = st.one_of(st.integers(min_value=-20, max_value=20), st.none())
 
@@ -71,9 +77,7 @@ def python_eval(expr, a, b):
 @given(arith_exprs(), values, values)
 @settings(max_examples=200)
 def test_arithmetic_matches_python(expr, a, b):
-    bound = expr.bind(LAYOUT)
-    engine_value = bound.eval((a, b), EvalContext())
-    assert engine_value == python_eval(expr, a, b)
+    assert run(expr, (a, b)) == python_eval(expr, a, b)
 
 
 @given(arith_exprs(), arith_exprs(),
@@ -81,25 +85,25 @@ def test_arithmetic_matches_python(expr, a, b):
        values, values)
 @settings(max_examples=200)
 def test_comparisons_match_python(left, right, op, a, b):
-    expr = BinaryOp(op, left, right).bind(LAYOUT)
-    assert expr.eval((a, b), EvalContext()) == \
-        python_eval(BinaryOp(op, left, right), a, b)
+    expr = BinaryOp(op, left, right)
+    assert run(expr, (a, b)) == python_eval(expr, a, b)
 
 
 @given(arith_exprs(), values, values)
 @settings(max_examples=100)
 def test_is_null_consistent(expr, a, b):
-    is_null = IsNullExpr(expr).bind(LAYOUT).eval((a, b), EvalContext())
-    value = expr.bind(LAYOUT).eval((a, b), EvalContext())
-    assert is_null == (value is None)
+    assert run(IsNullExpr(expr), (a, b)) == (run(expr, (a, b)) is None)
 
 
 @given(arith_exprs(), values, values)
 @settings(max_examples=100)
 def test_evaluation_charges_ops(expr, a, b):
     ctx = EvalContext()
-    expr.bind(LAYOUT).eval((a, b), ctx)
+    fn, static_ops = expr.compile(LAYOUT, ctx)
+    fn((a, b))
     # Literal-only expressions may be free; anything touching a column
-    # must charge at least one primitive step.
+    # must charge at least one primitive step. Arithmetic never
+    # short-circuits, so every step is static.
     if expr.columns():
-        assert ctx.ops >= 1
+        assert static_ops >= 1
+    assert (ctx.ops, static_ops) == (0, expr.op_count())
