@@ -20,9 +20,10 @@ is cheaper than iterator plumbing and makes the accounting exact.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.engine.bufferpool import BufferPool
 from repro.engine.catalog import Catalog
@@ -32,10 +33,8 @@ from repro.engine.expr import (
     Expr,
     Literal,
     RowLayout,
-    SubplanExpr,
     compile_row,
-    contains_subplan,
-    map_children,
+    find_subplans,
 )
 from repro.engine.plans import (
     AggFunc,
@@ -52,6 +51,7 @@ from repro.engine.plans import (
     Project,
     SeqScan,
     Sort,
+    SortKey,
     walk,
 )
 from repro.engine.trace import (
@@ -98,6 +98,8 @@ class Executor:
 
     def __init__(self, context: ExecutionContext):
         self._ctx = context
+        #: The current execution's scalar-subquery values (see run()).
+        self._subplans: Dict[int, Value] = {}
 
     @property
     def trace(self) -> WorkTrace:
@@ -107,60 +109,34 @@ class Executor:
         """Execute *plan* and return its result rows."""
         metrics.counter("engine.executor.plans").inc()
         self._ctx.trace.add_cpu(CPU_OPERATOR_STARTUP_UNITS)
+        self._subplans = {}
         self._resolve_subplans(plan)
         return self._execute(plan)
 
     # -- scalar subqueries ----------------------------------------------------
 
     def _resolve_subplans(self, plan: PlanNode) -> None:
-        """Run every scalar subplan once and fold its value in as a literal.
+        """Run every scalar subplan under *plan* once, for this execution.
 
         Uncorrelated scalar subqueries are constants with respect to the
-        outer query, so they execute exactly once (their work is charged
-        to this execution's trace) before the outer plan runs.
+        outer query, so they execute exactly once per execution (their
+        work is charged to this execution's trace) before the outer plan
+        runs, in plan order. Their values go to this run's map, which
+        :meth:`SubplanExpr.compile` reads; the plan is left as it was.
         """
-        values: Dict[int, Value] = {}
-
-        def resolve(expr: Optional[Expr]) -> Optional[Expr]:
-            return self._resolve(expr, values) if contains_subplan(expr) else expr
-
         for node in walk(plan):
-            if isinstance(node, (SeqScan, IndexScan)):
-                node.filter_expr = resolve(node.filter_expr)
-            elif isinstance(node, HashJoin):
-                node.outer_keys = [resolve(k) for k in node.outer_keys]
-                node.inner_keys = [resolve(k) for k in node.inner_keys]
-                node.residual = resolve(node.residual)
-            elif isinstance(node, NestedLoopJoin):
-                node.predicate = resolve(node.predicate)
-            elif isinstance(node, MergeJoin):
-                node.outer_key = resolve(node.outer_key)
-                node.inner_key = resolve(node.inner_key)
-            elif isinstance(node, Sort):
-                for key in node.keys:
-                    key.expr = resolve(key.expr)
-            elif isinstance(node, Aggregate):
-                node.group_keys = [resolve(k) for k in node.group_keys]
-                for spec in node.aggregates:
-                    spec.arg = resolve(spec.arg)
-                node.having = resolve(node.having)
-            elif isinstance(node, Filter):
-                node.predicate = resolve(node.predicate)
-            elif isinstance(node, Project):
-                node.exprs = [resolve(e) for e in node.exprs]
-
-    def _resolve(self, expr: Expr, values: Dict[int, Value]) -> Expr:
-        if not isinstance(expr, SubplanExpr):
-            return map_children(expr, lambda child: self._resolve(child, values))
-        key = id(expr)
-        if key not in values:
-            if expr.plan is None:
-                raise PlanningError("scalar subquery was never planned")
-            rows = self._execute(expr.plan)
-            if len(rows) > 1:
-                raise PlanningError("scalar subquery returned more than one row")
-            values[key] = rows[0][0] if rows else None
-        return Literal(values[key])
+            for expr in _expressions(node):
+                for subplan in find_subplans(expr):
+                    if id(subplan) in self._subplans:
+                        continue
+                    if subplan.plan is None:
+                        raise PlanningError("scalar subquery was never planned")
+                    self._resolve_subplans(subplan.plan)
+                    rows = self._execute(subplan.plan)
+                    if len(rows) > 1:
+                        raise PlanningError(
+                            "scalar subquery returned more than one row")
+                    self._subplans[id(subplan)] = rows[0][0] if rows else None
 
     # -- dispatch -----------------------------------------------------------
 
@@ -183,7 +159,7 @@ class Executor:
         pool = self._ctx.buffer_pool
         trace = self._ctx.trace
         use_ring = pool.should_use_ring(heap.n_pages)
-        eval_ctx = EvalContext()
+        eval_ctx = EvalContext(self._subplans)
         predicate, ops = _compile_optional(plan.filter_expr, plan.layout, eval_ctx)
         rows = heap.rows
         # An empty heap has no pages (and its schema may not fit one).
@@ -222,7 +198,7 @@ class Executor:
         per_page = heap.rows_per_page() if rows else 1
         pool = self._ctx.buffer_pool
         trace = self._ctx.trace
-        eval_ctx = EvalContext()
+        eval_ctx = EvalContext(self._subplans)
         predicate, ops = _compile_optional(plan.filter_expr, plan.layout, eval_ctx)
         out: List[tuple] = []
         per_tuple_units = CPU_INDEX_TUPLE_UNITS + CPU_TUPLE_UNITS
@@ -258,7 +234,7 @@ class Executor:
         inner_rows = self._execute(plan.inner)
         trace = self._ctx.trace
         trace.add_cpu(CPU_OPERATOR_STARTUP_UNITS)
-        eval_ctx = EvalContext()
+        eval_ctx = EvalContext(self._subplans)
 
         outer_key, outer_ops = compile_row(plan.outer_keys, plan.outer.layout, eval_ctx)
         inner_key, inner_ops = compile_row(plan.inner_keys, plan.inner.layout, eval_ctx)
@@ -318,7 +294,7 @@ class Executor:
         inner_rows = self._execute(plan.inner)  # materialized once
         trace = self._ctx.trace
         trace.add_cpu(CPU_OPERATOR_STARTUP_UNITS)
-        eval_ctx = EvalContext()
+        eval_ctx = EvalContext(self._subplans)
         combined_layout = plan.outer.layout.concat(plan.inner.layout)
         predicate, ops = _compile_optional(plan.predicate, combined_layout, eval_ctx)
         join_type = plan.join_type
@@ -353,7 +329,7 @@ class Executor:
         inner_rows = self._execute(plan.inner)
         trace = self._ctx.trace
         trace.add_cpu(CPU_OPERATOR_STARTUP_UNITS)
-        eval_ctx = EvalContext()
+        eval_ctx = EvalContext(self._subplans)
         outer_key, outer_ops = plan.outer_key.compile(plan.outer.layout, eval_ctx)
         inner_key, inner_ops = plan.inner_key.compile(plan.inner.layout, eval_ctx)
 
@@ -407,7 +383,7 @@ class Executor:
         rows = self._execute(plan.input)
         trace = self._ctx.trace
         trace.add_cpu(CPU_OPERATOR_STARTUP_UNITS)
-        eval_ctx = EvalContext()
+        eval_ctx = EvalContext(self._subplans)
         keys = [(k.expr.compile(plan.input.layout, eval_ctx), k.ascending)
                 for k in plan.keys]
 
@@ -439,7 +415,7 @@ class Executor:
         rows = self._execute(plan.input)
         trace = self._ctx.trace
         trace.add_cpu(CPU_OPERATOR_STARTUP_UNITS)
-        eval_ctx = EvalContext()
+        eval_ctx = EvalContext(self._subplans)
         layout = plan.input.layout
         group_key, ops = compile_row(plan.group_keys, layout, eval_ctx)
         specs = plan.aggregates
@@ -493,7 +469,7 @@ class Executor:
     def _filter(self, plan: Filter) -> List[tuple]:
         rows = self._execute(plan.input)
         trace = self._ctx.trace
-        eval_ctx = EvalContext()
+        eval_ctx = EvalContext(self._subplans)
         predicate, ops = plan.predicate.compile(plan.input.layout, eval_ctx)
         trace.add_cpu_repeated(len(rows), CPU_OPERATOR_UNITS)
         out = [row for row in rows if predicate(row) is True]
@@ -505,7 +481,7 @@ class Executor:
         rows = self._execute(plan.input)
         trace = self._ctx.trace
         trace.add_cpu(CPU_OPERATOR_STARTUP_UNITS)
-        eval_ctx = EvalContext()
+        eval_ctx = EvalContext(self._subplans)
         project, ops = compile_row(plan.exprs, plan.input.layout, eval_ctx)
         out = list(map(project, rows))
         eval_ctx.ops += ops * len(rows)
@@ -592,6 +568,20 @@ def _distinct(update):
             update(state, value)
 
     return update_distinct
+
+
+def _expressions(node: PlanNode) -> Iterator[Expr]:
+    """Every expression *node* holds, in field order (sort keys and
+    aggregate arguments included)."""
+    for spec in dataclasses.fields(node):
+        value = getattr(node, spec.name)
+        for item in value if isinstance(value, list) else (value,):
+            if isinstance(item, SortKey):
+                item = item.expr
+            elif isinstance(item, AggSpec):
+                item = item.arg
+            if isinstance(item, Expr):
+                yield item
 
 
 def _compile_optional(expr: Optional[Expr], layout: RowLayout,

@@ -38,14 +38,19 @@ class RowLayout:
 
     def __init__(self, slots: Sequence[Tuple[str, str]]):
         self.slots: Tuple[Tuple[str, str], ...] = tuple(slots)
-        self._index: Dict[Tuple[str, str], int] = {}
-        for i, slot in enumerate(self.slots):
-            # Later duplicates lose; binder guarantees uniqueness.
-            self._index.setdefault(slot, i)
+        #: Built on the first lookup: planning makes many layouts (one
+        #: per join candidate) that nothing ever looks up.
+        self._index: Optional[Dict[Tuple[str, str], int]] = None
 
     def index_of(self, alias: str, column: str) -> int:
+        index = self._index
+        if index is None:
+            index = self._index = {}
+            for i, slot in enumerate(self.slots):
+                # Later duplicates lose; binder guarantees uniqueness.
+                index.setdefault(slot, i)
         try:
-            return self._index[(alias, column)]
+            return index[(alias, column)]
         except KeyError:
             raise PlanningError(
                 f"layout has no slot for {alias}.{column}"
@@ -65,9 +70,12 @@ class EvalContext:
     """The work compiled closures count as it happens: the steps of
     short-circuiting nodes and the subject bytes LIKE examines."""
 
-    __slots__ = ("ops", "like_bytes")
+    __slots__ = ("ops", "like_bytes", "subplans")
 
-    def __init__(self):
+    def __init__(self, subplans: Optional[Dict[int, Value]] = None):
+        #: This execution's scalar-subquery values, by ``id`` of their
+        #: :class:`SubplanExpr` (see :meth:`SubplanExpr.compile`).
+        self.subplans = {} if subplans is None else subplans
         self.reset()
 
     def reset(self) -> None:
@@ -491,10 +499,10 @@ class SubplanExpr(Expr):
 
     Carries the bound logical query (attached by the binder) and, once
     planned, the costed physical plan (attached by the planner). The
-    executor resolves every occurrence to a :class:`Literal` — by
-    running the subplan once — before compiling the enclosing
-    expression, so :meth:`compile` is never reached. Uncorrelated, it
-    has no column references and no children.
+    executor runs the subplan once per execution, before the outer
+    plan, and hands its value to :meth:`compile` through the context;
+    the plan itself is never rewritten, so it can run again. Uncorrelated,
+    it has no column references and no children.
     """
 
     __slots__ = ("logical", "plan")
@@ -504,9 +512,14 @@ class SubplanExpr(Expr):
         self.plan = plan
 
     def compile(self, layout: RowLayout, ctx: EvalContext) -> Compiled:
-        raise PlanningError(
-            "scalar subquery was not resolved before evaluation"
-        )
+        try:
+            value = ctx.subplans[id(self)]
+        except KeyError:
+            raise PlanningError(
+                "scalar subquery was not resolved before evaluation"
+            ) from None
+        # Resolved, the subquery is a constant: no steps, like a Literal.
+        return (lambda row: value), 0
 
     def __str__(self) -> str:
         return "(scalar subquery)"
@@ -554,13 +567,17 @@ def map_children(expr: Expr, fn) -> Expr:
     return expr
 
 
-def contains_subplan(expr: Optional[Expr]) -> bool:
-    """Whether any :class:`SubplanExpr` occurs under *expr*."""
-    if expr is None:
-        return False
+def find_subplans(expr: Expr, found: Optional[List[SubplanExpr]] = None
+                  ) -> List[SubplanExpr]:
+    """All :class:`SubplanExpr` nodes under *expr*, in evaluation order."""
+    if found is None:
+        found = []
     if isinstance(expr, SubplanExpr):
-        return True
-    return any(contains_subplan(child) for child in expr.children())
+        found.append(expr)
+    else:
+        for child in expr.children():
+            find_subplans(child, found)
+    return found
 
 
 def _compare(a: Value, b: Value) -> int:

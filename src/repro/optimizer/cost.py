@@ -54,8 +54,15 @@ def predicate_cpu_cost(expr: Optional[Expr], params: OptimizerParameters,
     """CPU cost of evaluating *expr* once against one tuple."""
     if expr is None:
         return 0.0
-    ops_cost = expr.op_count() * params.cpu_operator_cost
-    like_cost = expr_like_bytes(expr, estimator) * params.cpu_like_byte_cost
+    return predicate_cost(params, expr.op_count(),
+                          expr_like_bytes(expr, estimator))
+
+
+def predicate_cost(params: OptimizerParameters, ops: int,
+                   like_bytes: float) -> float:
+    """Price *ops* operator steps and *like_bytes* LIKE subject bytes."""
+    ops_cost = ops * params.cpu_operator_cost
+    like_cost = like_bytes * params.cpu_like_byte_cost
     return ops_cost + like_cost
 
 

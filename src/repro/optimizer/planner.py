@@ -39,6 +39,7 @@ from repro.engine.expr import (
     SubplanExpr,
     and_together,
     conjuncts,
+    find_subplans,
 )
 from repro.engine.plans import (
     Aggregate,
@@ -86,8 +87,8 @@ class _SubPlan:
     aliases: FrozenSet[str]
     rows: float
     cost: float
-    #: Replayable cost expression for this subtree (recording mode only).
-    node: Optional[recost.CostNode] = None
+    #: Tape slot of this subtree's replayable cost (recording mode only).
+    node: Optional[recost.Slot] = None
 
 
 class Planner:
@@ -112,8 +113,8 @@ class Planner:
                    recorder: Optional[recost.PlanCostRecorder] = None) -> PlanNode:
         """Plan *query*; with a *recorder*, also capture its cost program.
 
-        The recorder collects a replayable cost DAG (see
-        :mod:`repro.optimizer.recost`) and receives the root node via
+        The recorder collects a replayable cost tape (see
+        :mod:`repro.optimizer.recost`) and receives the root slot via
         :meth:`~repro.optimizer.recost.PlanCostRecorder.deposit_root`
         when the build finishes — claim it with ``take_root()``.
         """
@@ -135,7 +136,7 @@ class _PlanState:
         self._recorder = recorder
         self._stats_by_alias: Dict[str, Optional[TableStats]] = {}
         self._derived_plans: Dict[str, PlanNode] = {}
-        self._derived_cost_nodes: Dict[str, Optional[recost.CostNode]] = {}
+        self._derived_cost_nodes: Dict[str, Optional[recost.Slot]] = {}
         self._collect_stats(query.from_tree)
         self._estimator = SelectivityEstimator(self._stats_by_alias)
 
@@ -205,14 +206,14 @@ class _PlanState:
                 recorder.mark_uncompilable("plan root produced no cost node")
                 recorder.deposit_root(None)
             else:
-                recorder.deposit_root(
-                    recost.Sum(node, tuple(subplan_nodes))
-                )
+                recorder.deposit_root(recorder.call(
+                    recost.plan_total, node, *subplan_nodes
+                ))
         return plan
 
     def _plan_scalar_subqueries(
         self,
-    ) -> Tuple[List[SubplanExpr], List[recost.CostNode]]:
+    ) -> Tuple[List[SubplanExpr], List[recost.Slot]]:
         """Plan every uncorrelated scalar subquery under this query."""
         query = self._query
         exprs: List[Expr] = list(query.where) + list(query.select_exprs)
@@ -233,9 +234,9 @@ class _PlanState:
 
         subplans: List[SubplanExpr] = []
         for expr in exprs:
-            subplans.extend(_find_subplans(expr))
+            subplans.extend(find_subplans(expr))
         recorder = self._recorder
-        nodes: List[recost.CostNode] = []
+        nodes: List[recost.Slot] = []
         for subplan in subplans:
             subplan.plan = Planner(self._catalog, self._params).plan_query(
                 subplan.logical, recorder
@@ -334,7 +335,7 @@ class _PlanState:
 
         # Sequential scan candidate.
         filter_expr = and_together(local_conjuncts)
-        per_tuple = costf.predicate_cpu_cost(filter_expr, params, self._estimator)
+        per_tuple, per_tuple_node = self._predicate(filter_expr)
         seq = SeqScan(table_name=node.table, alias=node.alias,
                       filter_expr=filter_expr)
         seq.layout = layout
@@ -345,11 +346,11 @@ class _PlanState:
         best_plan: PlanNode = seq
         best_cost = seq.est_total_cost
         recording = self._recorder is not None
-        path_nodes: List[recost.CostNode] = []
+        path_nodes: List[recost.Slot] = []
         if recording:
-            path_nodes.append(recost.Call(costf.seq_scan_cost, (
-                stats.n_pages, stats.n_rows, self._pred_node(filter_expr),
-            )))
+            path_nodes.append(self._recorder.call(
+                costf.seq_scan_cost, stats.n_pages, stats.n_rows, per_tuple_node,
+            ))
 
         for index_info in info.indexes.values():
             indexed = self._index_path(node, info, index_info, stats,
@@ -365,13 +366,14 @@ class _PlanState:
 
         return _SubPlan(plan=best_plan, aliases=frozenset([node.alias]),
                         rows=out_rows, cost=best_cost,
-                        node=recost.Min(tuple(path_nodes)) if recording else None)
+                        node=self._recorder.minimum(path_nodes)
+                        if recording else None)
 
     def _index_path(
         self, node: LogicalRelation, info: TableInfo,
         index_info: IndexInfo, stats: TableStats,
         local_conjuncts: List[Expr], layout: RowLayout, out_rows: float,
-    ) -> Optional[Tuple[IndexScan, Optional[recost.CostNode]]]:
+    ) -> Optional[Tuple[IndexScan, Optional[recost.Slot]]]:
         column = index_info.column_name
         low = high = None
         low_inc = high_inc = True
@@ -402,7 +404,7 @@ class _PlanState:
         tree = index_info.index
         leaf_pages = max(1.0, tuples_fetched / max(1.0, tree.fanout * 0.9))
         residual_expr = and_together(residual)
-        per_tuple = costf.predicate_cpu_cost(residual_expr, params, self._estimator)
+        per_tuple, per_tuple_node = self._predicate(residual_expr)
 
         scan = IndexScan(
             table_name=node.table, alias=node.alias, index_name=index_info.name,
@@ -417,27 +419,30 @@ class _PlanState:
         )
         scan_node = None
         if self._recorder is not None:
-            scan_node = recost.Call(costf.index_scan_cost, (
-                tree.height, leaf_pages, tuples_fetched,
-                stats.n_pages, self._pred_node(residual_expr),
-            ))
+            scan_node = self._recorder.call(
+                costf.index_scan_cost, tree.height, leaf_pages,
+                tuples_fetched, stats.n_pages, per_tuple_node,
+            )
         return scan, scan_node
 
-    def _pred_node(self, expr: Optional[Expr]) -> Optional[recost.Pred]:
-        """The :class:`~repro.optimizer.recost.Pred` replaying *expr*'s cost.
+    def _predicate(
+        self, expr: Optional[Expr],
+    ) -> Tuple[float, Optional[recost.Slot]]:
+        """*expr*'s per-row CPU cost and, when recording, its replay slot.
 
-        Mirrors :func:`repro.optimizer.cost.predicate_cpu_cost`: the
-        operator count and expected LIKE bytes are ``P``-independent,
-        so freezing them reproduces the cost bit-identically under any
-        parameter set.
+        One pass prices both, as :func:`costf.predicate_cpu_cost` would:
+        the operator count and expected LIKE bytes are ``P``-independent,
+        so the slot replays the cost bit-identically under any ``P``.
         """
-        if self._recorder is None:
-            return None
         if expr is None:
-            return recost.Pred(0, 0.0)
-        return recost.Pred(
-            expr.op_count(), costf.expr_like_bytes(expr, self._estimator)
-        )
+            ops, like_bytes, cost = 0, 0.0, 0.0
+        else:
+            ops = expr.op_count()
+            like_bytes = costf.expr_like_bytes(expr, self._estimator)
+            cost = costf.predicate_cost(self._params, ops, like_bytes)
+        if self._recorder is None:
+            return cost, None
+        return cost, self._recorder.call(costf.predicate_cost, ops, like_bytes)
 
     # -- join ordering --------------------------------------------------------------------
 
@@ -463,7 +468,7 @@ class _PlanState:
                 continue
             mask_aliases = aliases_of(mask)
             candidate: Optional[_SubPlan] = None
-            mask_nodes: List[recost.CostNode] = []
+            mask_nodes: List[recost.Slot] = []
             sub = (mask - 1) & mask
             while sub:
                 other = mask ^ sub
@@ -488,7 +493,7 @@ class _PlanState:
                     # The replay must re-decide this subset's winner under
                     # the new P, over every candidate in comparison order
                     # — not just replay the winner chosen under this P.
-                    candidate.node = recost.Min(tuple(mask_nodes))
+                    candidate.node = self._recorder.minimum(mask_nodes)
                 best[mask] = candidate
         result = best.get(full)
         if result is None:
@@ -553,7 +558,7 @@ class _PlanState:
             result_rows = max(1.0, outer.rows * (1.0 - match_prob))
 
         candidates: List[PlanNode] = []
-        cand_nodes: List[recost.CostNode] = []
+        cand_nodes: List[recost.Slot] = []
         if equi:
             outer_keys = [e[0] for e in equi]
             inner_keys = [e[1] for e in equi]
@@ -563,9 +568,7 @@ class _PlanState:
                 outer_keys=outer_keys, inner_keys=inner_keys,
                 join_type=join_type, residual=residual_expr,
             )
-            residual_cost = costf.predicate_cpu_cost(
-                residual_expr, params, self._estimator
-            )
+            residual_cost, residual_node = self._predicate(residual_expr)
             hash_join.est_rows = result_rows
             hash_join.est_total_cost = costf.hash_join_cost(
                 params, outer.cost, inner.cost, outer.rows, inner.rows,
@@ -573,10 +576,10 @@ class _PlanState:
             )
             candidates.append(hash_join)
             if recording:
-                cand_nodes.append(recost.Call(costf.hash_join_cost, (
-                    outer.node, inner.node, outer.rows, inner.rows,
-                    inner_join_rows, self._pred_node(residual_expr),
-                )))
+                cand_nodes.append(self._recorder.call(
+                    costf.hash_join_cost, outer.node, inner.node, outer.rows,
+                    inner.rows, inner_join_rows, residual_node,
+                ))
 
             if len(equi) == 1 and join_type is JoinType.INNER and not residual:
                 outer_sorted = self._sorted(outer, equi[0][0])
@@ -592,13 +595,14 @@ class _PlanState:
                 )
                 candidates.append(merge)
                 if recording:
-                    cand_nodes.append(recost.Call(costf.merge_join_cost, (
-                        outer_sorted.node, inner_sorted.node,
-                        outer.rows, inner.rows, inner_join_rows,
-                    )))
+                    cand_nodes.append(self._recorder.call(
+                        costf.merge_join_cost, outer_sorted.node,
+                        inner_sorted.node, outer.rows, inner.rows,
+                        inner_join_rows,
+                    ))
 
         predicate = and_together(cond)
-        pred_cost = costf.predicate_cpu_cost(predicate, params, self._estimator)
+        pred_cost, pred_node = self._predicate(predicate)
         nested = NestedLoopJoin(
             outer=outer.plan, inner=inner.plan,
             join_type=join_type, predicate=predicate,
@@ -610,15 +614,16 @@ class _PlanState:
         )
         candidates.append(nested)
         if recording:
-            cand_nodes.append(recost.Call(costf.nested_loop_cost, (
-                outer.node, inner.node, outer.rows, inner.rows,
-                inner_join_rows, self._pred_node(predicate),
-            )))
+            cand_nodes.append(self._recorder.call(
+                costf.nested_loop_cost, outer.node, inner.node, outer.rows,
+                inner.rows, inner_join_rows, pred_node,
+            ))
 
         best = min(candidates, key=lambda plan: plan.est_total_cost)
         return _SubPlan(plan=best, aliases=aliases, rows=result_rows,
                         cost=best.est_total_cost,
-                        node=recost.Min(tuple(cand_nodes)) if recording else None)
+                        node=self._recorder.minimum(cand_nodes)
+                        if recording else None)
 
     def _sorted(self, sub: _SubPlan, key: Expr) -> _SubPlan:
         sort = Sort(input=sub.plan, keys=[SortKey(key, True)])
@@ -629,7 +634,8 @@ class _PlanState:
         )
         node = None
         if self._recorder is not None:
-            node = recost.Call(costf.sort_cost, (sub.node, sub.rows, width, 1))
+            node = self._recorder.call(costf.sort_cost, sub.node, sub.rows,
+                                       width, 1)
         return _SubPlan(plan=sort, aliases=sub.aliases, rows=sub.rows,
                         cost=sort.est_total_cost, node=node)
 
@@ -637,23 +643,23 @@ class _PlanState:
 
     def _apply_leftover(
         self, sub: _SubPlan, pool: "_ConjunctPool", aliases: FrozenSet[str],
-    ) -> Tuple[PlanNode, Optional[recost.CostNode]]:
+    ) -> Tuple[PlanNode, Optional[recost.Slot]]:
         applicable = pool.take_covered(aliases)
         plan = sub.plan
         cost_node = sub.node
         if applicable:
             predicate = and_together(applicable)
             sel = self._estimator.estimate_conjuncts(applicable)
+            pred_cost, pred_node = self._predicate(predicate)
             node = Filter(input=plan, predicate=predicate)
             node.est_rows = max(1.0, sub.rows * sel)
             node.est_total_cost = costf.filter_cost(
-                self._params, sub.cost, sub.rows,
-                costf.predicate_cpu_cost(predicate, self._params, self._estimator),
+                self._params, sub.cost, sub.rows, pred_cost,
             )
             if self._recorder is not None:
-                cost_node = recost.Call(costf.filter_cost, (
-                    cost_node, sub.rows, self._pred_node(predicate),
-                ))
+                cost_node = self._recorder.call(
+                    costf.filter_cost, cost_node, sub.rows, pred_node,
+                )
             plan = node
         return plan, cost_node
 
@@ -663,32 +669,31 @@ class _PlanState:
             return sub
         predicate = and_together(applicable)
         sel = self._estimator.estimate_conjuncts(applicable)
+        pred_cost, pred_node = self._predicate(predicate)
         node = Filter(input=sub.plan, predicate=predicate)
         node.est_rows = max(1.0, sub.rows * sel)
         node.est_total_cost = costf.filter_cost(
-            self._params, sub.cost, sub.rows,
-            costf.predicate_cpu_cost(predicate, self._params, self._estimator),
+            self._params, sub.cost, sub.rows, pred_cost,
         )
         cost_node = None
         if self._recorder is not None:
-            cost_node = recost.Call(costf.filter_cost, (
-                sub.node, sub.rows, self._pred_node(predicate),
-            ))
+            cost_node = self._recorder.call(
+                costf.filter_cost, sub.node, sub.rows, pred_node,
+            )
         return _SubPlan(plan=node, aliases=sub.aliases, rows=node.est_rows,
                         cost=node.est_total_cost, node=cost_node)
 
     # -- upper plan -------------------------------------------------------------------------
 
     def _add_aggregate(
-        self, plan: PlanNode, input_node: Optional[recost.CostNode],
-    ) -> Tuple[PlanNode, Optional[recost.CostNode]]:
+        self, plan: PlanNode, input_node: Optional[recost.Slot],
+    ) -> Tuple[PlanNode, Optional[recost.Slot]]:
         query = self._query
         params = self._params
         n_groups = self._estimate_groups(query.group_keys, plan.est_rows)
-        arg_cost = sum(
-            costf.predicate_cpu_cost(spec.arg, params, self._estimator)
-            for spec in query.aggregates if spec.arg is not None
-        )
+        priced = [self._predicate(spec.arg)
+                  for spec in query.aggregates if spec.arg is not None]
+        arg_cost = sum(cost for cost, _ in priced)
         node = Aggregate(
             input=plan, group_keys=list(query.group_keys),
             aggregates=list(query.aggregates), having=query.having,
@@ -704,14 +709,11 @@ class _PlanState:
         )
         cost_node = None
         if self._recorder is not None:
-            arg_node = recost.PredSum(tuple(
-                self._pred_node(spec.arg)
-                for spec in query.aggregates if spec.arg is not None
-            ))
-            cost_node = recost.Call(costf.aggregate_cost, (
-                input_node, plan.est_rows, n_groups,
+            arg_node = self._recorder.total([slot for _, slot in priced])
+            cost_node = self._recorder.call(
+                costf.aggregate_cost, input_node, plan.est_rows, n_groups,
                 len(query.aggregates), arg_node,
-            ))
+            )
         return node, cost_node
 
     def _estimate_groups(self, group_keys: Sequence[Expr], input_rows: float) -> float:
@@ -727,14 +729,12 @@ class _PlanState:
         return max(1.0, min(total, input_rows))
 
     def _add_project(
-        self, plan: PlanNode, input_node: Optional[recost.CostNode],
-    ) -> Tuple[PlanNode, Optional[recost.CostNode]]:
+        self, plan: PlanNode, input_node: Optional[recost.Slot],
+    ) -> Tuple[PlanNode, Optional[recost.Slot]]:
         query = self._query
         params = self._params
-        expr_cost = sum(
-            costf.predicate_cpu_cost(e, params, self._estimator)
-            for e in query.select_exprs
-        )
+        priced = [self._predicate(e) for e in query.select_exprs]
+        expr_cost = sum(cost for cost, _ in priced)
         node = Project(input=plan, exprs=list(query.select_exprs),
                        names=list(query.select_names))
         node.est_rows = plan.est_rows
@@ -743,17 +743,15 @@ class _PlanState:
         )
         cost_node = None
         if self._recorder is not None:
-            expr_node = recost.PredSum(tuple(
-                self._pred_node(e) for e in query.select_exprs
-            ))
-            cost_node = recost.Call(costf.project_cost, (
-                input_node, plan.est_rows, expr_node,
-            ))
+            expr_node = self._recorder.total([slot for _, slot in priced])
+            cost_node = self._recorder.call(
+                costf.project_cost, input_node, plan.est_rows, expr_node,
+            )
         return node, cost_node
 
     def _add_distinct(
-        self, plan: PlanNode, input_node: Optional[recost.CostNode],
-    ) -> Tuple[PlanNode, Optional[recost.CostNode]]:
+        self, plan: PlanNode, input_node: Optional[recost.Slot],
+    ) -> Tuple[PlanNode, Optional[recost.Slot]]:
         names = [column for _alias, column in plan.layout.slots]
         keys: List[Expr] = [ColumnRef("_out", name) for name in names]
         agg = Aggregate(input=plan, group_keys=keys, aggregates=[],
@@ -773,15 +771,16 @@ class _PlanState:
         cost_node = None
         if self._recorder is not None:
             # The rename Project is a cost passthrough of the Aggregate.
-            cost_node = recost.Call(costf.aggregate_cost, (
-                input_node, plan.est_rows, agg.est_rows, 0, 0.0,
-            ))
+            cost_node = self._recorder.call(
+                costf.aggregate_cost, input_node, plan.est_rows,
+                agg.est_rows, 0, 0.0,
+            )
         return rename, cost_node
 
     def _add_sort(
         self, plan: PlanNode, keys: List[SortKey],
-        input_node: Optional[recost.CostNode],
-    ) -> Tuple[PlanNode, Optional[recost.CostNode]]:
+        input_node: Optional[recost.Slot],
+    ) -> Tuple[PlanNode, Optional[recost.Slot]]:
         node = Sort(input=plan, keys=list(keys))
         width = 24.0 + 8.0 * len(plan.layout)
         node.est_rows = plan.est_rows
@@ -790,9 +789,9 @@ class _PlanState:
         )
         cost_node = None
         if self._recorder is not None:
-            cost_node = recost.Call(costf.sort_cost, (
-                input_node, plan.est_rows, width, len(keys),
-            ))
+            cost_node = self._recorder.call(
+                costf.sort_cost, input_node, plan.est_rows, width, len(keys),
+            )
         return node, cost_node
 
 
@@ -850,19 +849,6 @@ class _ConjunctPool:
 
 def _expr_aliases(expr: Expr) -> set:
     return {alias for alias, _column in expr.columns()}
-
-
-def _find_subplans(expr: Expr, found: Optional[List[SubplanExpr]] = None
-                   ) -> List[SubplanExpr]:
-    """All :class:`SubplanExpr` nodes under *expr*, in evaluation order."""
-    if found is None:
-        found = []
-    if isinstance(expr, SubplanExpr):
-        found.append(expr)
-    else:
-        for child in expr.children():
-            _find_subplans(child, found)
-    return found
 
 
 def _cross_conjuncts(pool: List[Expr], left: FrozenSet[str],

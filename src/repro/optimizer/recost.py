@@ -1,4 +1,4 @@
-"""Optimize once, re-cost many: compiled cost programs.
+"""Optimize once, re-cost many: cost programs as interned tapes.
 
 Design search evaluates the same workload under dozens of calibrated
 parameter sets ``P`` — one per candidate allocation — and the planner
@@ -7,29 +7,35 @@ everything structural (access-path candidates, the dpsize join lattice,
 row and selectivity estimates) depends only on the catalog, never on
 ``P``. Only the cost arithmetic and the argmin decisions vary.
 
-A :class:`CostProgram` captures that split. While the planner builds a
-plan it can record, at every costing site, a small expression node:
+A :class:`CostProgram` captures that split as a flat *tape*. While the
+planner builds a plan it hands every costing site to a
+:class:`PlanCostRecorder`, which appends one instruction and returns
+an opaque :class:`Slot` — the position of the instruction's result in
+the replay's value array. Later sites pass those slots as arguments.
+Instructions come in three shapes:
 
-* :class:`Call` — one cost-formula invocation, holding the formula and
-  its ``P``-independent quantities, with child nodes where the formula
-  consumes another plan's cost;
-* :class:`Pred` — a predicate's ``(operator count, LIKE bytes)``, the
-  two quantities :func:`repro.optimizer.cost.predicate_cpu_cost`
-  prices;
-* :class:`PredSum` — an ordered sum of predicate costs (aggregate
-  arguments, projection expressions);
-* :class:`Min` — one planner decision: the candidates, in the exact
-  order the planner compared them, resolved by first minimum under
-  strict ``<`` (Python's ``min`` tie-break);
-* :class:`Sum` — the final plan cost plus its scalar-subquery costs.
+* a cost-formula call, ``fn(P, *args)``, whose arguments are slots of
+  earlier instructions or ``P``-independent quantities; quantities go
+  into the same value array as pooled constants;
+* a predicate price (:func:`repro.optimizer.cost.predicate_cost`) and
+  ordered sums of them (``sum`` from ``0``, as the planner sums), both
+  calls of this kind;
+* one planner decision, builtin ``min`` over the candidates' slots in
+  the order the planner compared them — first minimum under strict
+  ``<``, the planner's own tie-break.
 
-Evaluating the program under a new ``P`` replays the identical
-arithmetic — the :class:`Call` nodes invoke the *same* cost functions
-in the same argument order — so the result is bit-identical to
+The recorder *interns* every instruction by its structure (function
+plus argument slots) and every constant by type and value (so ``1``
+and ``1.0``, or ``0.0`` and ``-0.0``, stay apart). Equal instructions
+compute equal values under any ``P``, so the dynamic-programming join
+order's repeated sorts and identical predicates collapse into one
+slot each, and a one-candidate decision is its candidate's slot.
+
+Replaying the program under a new ``P`` is one loop over the tape with
+no recursion and no memo dictionary: each instruction reads its
+argument slots and stores its result. The same cost functions get the
+same arguments in the same order, so the result is bit-identical to
 re-running the planner under that ``P``, at a fraction of the work.
-The dynamic-programming join order makes the nodes a DAG (each subset's
-:class:`Min` is shared by every larger subset that splits through it);
-evaluation memoizes per node.
 
 Programs are only valid for the catalog they were compiled against:
 :class:`CostProgram.fingerprint` holds
@@ -43,169 +49,136 @@ time and keep the full re-planning path.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple, Union
+import math
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.optimizer.params import OptimizerParameters
 
 
-class CostNode:
-    """Base class for cost-expression nodes."""
+class Slot(int):
+    """A recorded value's position in the replay array (opaque to callers)."""
 
     __slots__ = ()
 
-    def evaluate(self, params: OptimizerParameters,
-                 memo: Dict[int, float]) -> float:
-        raise NotImplementedError
+
+def plan_total(params: OptimizerParameters, base: float,
+               *subqueries: float) -> float:
+    """Plan cost plus its scalar subqueries' costs, as the planner adds."""
+    return base + sum(subqueries)
 
 
-#: A recorded argument: either a replayable node or a frozen quantity.
-Arg = Union[CostNode, float, int]
+def _sum(params: OptimizerParameters, *parts: float) -> float:
+    return sum(parts)
 
 
-class Num(CostNode):
-    """A ``P``-independent constant (rarely needed; args are inlined)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: float):
-        self.value = value
-
-    def evaluate(self, params, memo):
-        return self.value
-
-
-class Pred(CostNode):
-    """Replay of ``predicate_cpu_cost``: priced operator and LIKE work."""
-
-    __slots__ = ("ops", "like_bytes")
-
-    def __init__(self, ops: int, like_bytes: float):
-        self.ops = ops
-        self.like_bytes = like_bytes
-
-    def evaluate(self, params, memo):
-        # Mirrors predicate_cpu_cost's arithmetic order exactly.
-        ops_cost = self.ops * params.cpu_operator_cost
-        like_cost = self.like_bytes * params.cpu_like_byte_cost
-        return ops_cost + like_cost
-
-
-class PredSum(CostNode):
-    """Ordered sum of predicate costs (``sum`` starting from ``0``)."""
-
-    __slots__ = ("preds",)
-
-    def __init__(self, preds: Tuple[Pred, ...]):
-        self.preds = preds
-
-    def evaluate(self, params, memo):
-        return sum(p.evaluate(params, memo) for p in self.preds)
-
-
-class Call(CostNode):
-    """One cost-formula invocation with frozen quantities."""
-
-    __slots__ = ("fn", "args")
-
-    def __init__(self, fn: Callable[..., float], args: Tuple[Arg, ...]):
-        self.fn = fn
-        self.args = args
-
-    def evaluate(self, params, memo):
-        resolved = [
-            evaluate(arg, params, memo) if isinstance(arg, CostNode) else arg
-            for arg in self.args
-        ]
-        return self.fn(params, *resolved)
-
-
-class Min(CostNode):
-    """One planner decision: first minimum over ordered candidates."""
-
-    __slots__ = ("candidates",)
-
-    def __init__(self, candidates: Tuple[CostNode, ...]):
-        if not candidates:
-            raise ValueError("a decision needs at least one candidate")
-        self.candidates = candidates
-
-    def evaluate(self, params, memo):
-        best = evaluate(self.candidates[0], params, memo)
-        for candidate in self.candidates[1:]:
-            value = evaluate(candidate, params, memo)
-            if value < best:
-                best = value
-        return best
-
-
-class Sum(CostNode):
-    """Plan cost plus scalar-subquery costs (``base + sum(parts)``)."""
-
-    __slots__ = ("base", "parts")
-
-    def __init__(self, base: CostNode, parts: Tuple[CostNode, ...]):
-        self.base = base
-        self.parts = parts
-
-    def evaluate(self, params, memo):
-        base = evaluate(self.base, params, memo)
-        return base + sum(evaluate(p, params, memo) for p in self.parts)
-
-
-def evaluate(node: CostNode, params: OptimizerParameters,
-             memo: Dict[int, float]) -> float:
-    """Evaluate *node* under *params*, memoized per DAG node."""
-    key = id(node)
-    cached = memo.get(key)
-    if cached is None:
-        cached = node.evaluate(params, memo)
-        memo[key] = cached
-    return cached
+#: One instruction: result slot, function, getter of its argument slots.
+Instruction = Tuple[int, Callable[..., float], Callable[[list], tuple]]
 
 
 class CostProgram:
-    """A compiled query: replayable cost DAG plus validity metadata."""
+    """A compiled query: the replay tape plus validity metadata."""
 
-    __slots__ = ("root", "fingerprint", "est_rows")
+    __slots__ = ("tape", "values", "root", "fingerprint", "est_rows")
 
-    def __init__(self, root: CostNode, fingerprint: tuple, est_rows: float):
+    def __init__(self, tape: Tuple[Instruction, ...], values: list,
+                 root: Slot, fingerprint: tuple, est_rows: float):
+        self.tape = tape
+        #: Slot 0 holds ``P`` during a replay; constants fill their slots.
+        self.values = values
         self.root = root
         self.fingerprint = fingerprint
         self.est_rows = est_rows
 
     def cost(self, params: OptimizerParameters) -> float:
         """Total plan cost under *params* — bit-identical to replanning."""
-        return evaluate(self.root, params, {})
+        values = self.values.copy()
+        values[0] = params
+        for slot, fn, args in self.tape:
+            values[slot] = fn(*args(values))
+        return values[self.root]
 
 
 class PlanCostRecorder:
-    """Collects the cost DAG while :class:`~repro.optimizer.planner.Planner` runs.
+    """Builds the cost tape while :class:`~repro.optimizer.planner.Planner` runs.
 
     One recorder accompanies one top-level ``plan_query`` call,
     including its nested calls for derived tables and scalar
-    subqueries: each nested build deposits its root here and the caller
-    claims it immediately with :meth:`take_root`. If any build hits a
+    subqueries, which share its tape (and its interning): each nested
+    build deposits its root slot here and the caller claims it
+    immediately with :meth:`take_root`. If any build hits a
     structurally ``P``-dependent path it calls :meth:`mark_uncompilable`
     and the whole query keeps full re-planning.
     """
 
-    __slots__ = ("compilable", "reason", "_root")
+    __slots__ = ("compilable", "reason", "_root", "_values", "_tape",
+                 "_interned")
 
     def __init__(self):
         self.compilable = True
         self.reason: Optional[str] = None
-        self._root: Optional[CostNode] = None
+        self._root: Optional[Slot] = None
+        self._values: list = [None]
+        self._tape: List[Instruction] = []
+        #: Constant keys and instruction keys -> their slot.
+        self._interned: Dict[tuple, Slot] = {}
 
     def mark_uncompilable(self, reason: str) -> None:
         self.compilable = False
         self.reason = reason
 
-    def deposit_root(self, node: Optional[CostNode]) -> None:
-        self._root = node
+    # -- emission ----------------------------------------------------------
 
-    def take_root(self) -> Optional[CostNode]:
-        node, self._root = self._root, None
-        return node
+    def call(self, fn: Callable[..., float], *args) -> Slot:
+        """Record ``fn(P, *args)``; *args* are slots or constants."""
+        key = [fn, 0]  # slot 0 holds P
+        for arg in args:
+            key.append(arg if arg.__class__ is Slot else self._constant(arg))
+        return self._emit(tuple(key))
+
+    def total(self, parts: Sequence[Slot]) -> Slot:
+        """Record ``sum(parts)`` — from ``0``, in the given order."""
+        if not parts:
+            return self._constant(0)
+        return self.call(_sum, *parts)
+
+    def minimum(self, candidates: Sequence[Slot]) -> Slot:
+        """Record one planner decision over *candidates*, in order."""
+        if not candidates:
+            raise ValueError("a decision needs at least one candidate")
+        if len(candidates) == 1:
+            return candidates[0]
+        return self._emit((min, *candidates))
+
+    def _constant(self, value) -> Slot:
+        # The type and, for zeros, the sign keep 1 / 1.0 / True and
+        # 0.0 / -0.0 apart: equal keys must mean identical arguments.
+        key = ((value.__class__, value, math.copysign(1.0, value))
+               if value == 0 else (value.__class__, value))
+        slot = self._interned.get(key)
+        if slot is None:
+            slot = self._interned[key] = Slot(len(self._values))
+            self._values.append(value)
+        return slot
+
+    def _emit(self, key: tuple) -> Slot:
+        """Intern the instruction ``key = (fn, *argument slots)``."""
+        slot = self._interned.get(key)
+        if slot is None:
+            index = len(self._values)  # a plain int stores fastest
+            slot = self._interned[key] = Slot(index)
+            self._values.append(None)
+            self._tape.append((index, key[0], itemgetter(*key[1:])))
+        return slot
+
+    # -- roots -------------------------------------------------------------
+
+    def deposit_root(self, slot: Optional[Slot]) -> None:
+        self._root = slot
+
+    def take_root(self) -> Optional[Slot]:
+        slot, self._root = self._root, None
+        return slot
 
     def program(self, fingerprint: tuple,
                 est_rows: float) -> Optional[CostProgram]:
@@ -213,5 +186,5 @@ class PlanCostRecorder:
         root = self.take_root()
         if not self.compilable or root is None:
             return None
-        return CostProgram(root=root, fingerprint=fingerprint,
-                           est_rows=est_rows)
+        return CostProgram(tuple(self._tape), self._values, root,
+                           fingerprint, est_rows)

@@ -73,7 +73,8 @@ class WhatIfOptimizer:
     def __init__(self, catalog: Catalog, params: Optional[OptimizerParameters] = None):
         self._catalog = catalog
         self._params = params or OptimizerParameters.defaults()
-        self._plan_cache: Dict[tuple, QueryEstimate] = {}
+        #: (P, catalog fingerprint) -> sql -> estimate.
+        self._plan_cache: Dict[tuple, Dict[str, QueryEstimate]] = {}
         #: (sql, catalog fingerprint) -> compiled program, or None when
         #: the query's plan structure depends on P (not replayable).
         self._programs: Dict[tuple, Optional[CostProgram]] = {}
@@ -99,30 +100,53 @@ class WhatIfOptimizer:
 
     def estimate_query(self, sql: str) -> QueryEstimate:
         """Optimize *sql* under the current ``P`` and estimate its time."""
-        fingerprint = self._catalog.fingerprint()
-        key = (sql, self._params, fingerprint)
-        cached = self._plan_cache.get(key)
-        if cached is not None:
-            metrics.counter("optimizer.whatif.cache_hits").inc()
-            return cached
+        return self._estimates([sql])[0]
 
+    def estimate_workload(self, statements: Sequence[str]) -> float:
+        """Sum of estimated execution seconds over a workload.
+
+        This is the paper's ``Cost(W_i, R_i)``: the query optimizer's
+        estimated total resource consumption for the workload under the
+        parameters calibrated for allocation ``R_i``. Nothing in one
+        call mutates the catalog, so its fingerprint is taken once for
+        the whole workload; the sum runs in statement order.
+        """
+        return sum(estimate.estimated_seconds
+                   for estimate in self._estimates(statements))
+
+    def _estimates(self, statements: Sequence[str]) -> List[QueryEstimate]:
+        """Estimate each statement against one catalog fingerprint."""
+        fingerprint = self._catalog.fingerprint()
+        cache = self._plan_cache.setdefault((self._params, fingerprint), {})
+        out, hits = [], 0
+        for sql in statements:
+            estimate = cache.get(sql)
+            if estimate is None:
+                estimate = cache[sql] = self._estimate(sql, fingerprint)
+            else:
+                hits += 1
+            out.append(estimate)
+        if hits:
+            metrics.counter("optimizer.whatif.cache_hits").inc(hits)
+        return out
+
+    def _estimate(self, sql: str, fingerprint: tuple) -> QueryEstimate:
+        """Replay *sql*'s program under ``P``, or plan it (and record one)."""
         program_key = (sql, fingerprint)
         program = self._programs.get(program_key)
         if program is not None:
-            # Replay the recorded cost expression under the current P —
+            # Replay the recorded cost tape under the current P —
             # bit-identical to re-planning, without building a plan.
             metrics.counter("optimizer.whatif.recosts").inc()
             params = self._params
             cost = program.cost(params)
             catalog = self._catalog
-            estimate = QueryEstimate(
+            return QueryEstimate(
                 sql=sql,
                 cost_units=cost,
                 estimated_seconds=params.cost_to_seconds(cost),
                 _plan_factory=lambda: Planner(catalog, params).plan_sql(sql),
             )
-            self._plan_cache[key] = estimate
-            return estimate
 
         metrics.counter("optimizer.whatif.estimates").inc()
         planner = Planner(self._catalog, self._params)
@@ -135,23 +159,12 @@ class WhatIfOptimizer:
             self._programs[program_key] = recorder.program(
                 fingerprint, plan.est_rows
             )
-        estimate = QueryEstimate(
+        return QueryEstimate(
             sql=sql,
             cost_units=plan.est_total_cost,
             estimated_seconds=self._params.cost_to_seconds(plan.est_total_cost),
             _plan=plan,
         )
-        self._plan_cache[key] = estimate
-        return estimate
-
-    def estimate_workload(self, statements: Sequence[str]) -> float:
-        """Sum of estimated execution seconds over a workload.
-
-        This is the paper's ``Cost(W_i, R_i)``: the query optimizer's
-        estimated total resource consumption for the workload under the
-        parameters calibrated for allocation ``R_i``.
-        """
-        return sum(self.estimate_query(sql).estimated_seconds for sql in statements)
 
     def explain(self, sql: str) -> str:
         """EXPLAIN-style plan text under the current ``P``."""

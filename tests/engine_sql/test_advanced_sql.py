@@ -70,6 +70,27 @@ class TestScalarSubqueries:
         assert result.rows[0][0] == 100
         assert result.trace.seq_page_requests <= 5
 
+    def test_rerun_plan_runs_its_subquery_again(self, db):
+        from repro.optimizer.params import OptimizerParameters
+        from repro.optimizer.planner import Planner
+
+        plan = Planner(db.catalog, OptimizerParameters.defaults()).plan_sql(
+            "select b, sum(a) as s from t group by b "
+            "having sum(a) > (select sum(x) from u where y >= 0) order by b"
+        )
+        first = db.run_plan(plan)
+        second = db.run_plan(plan)  # e.g. a calibration trial after priming
+        assert second.rows == first.rows
+        assert second.trace.predicate_ops == first.trace.predicate_ops
+
+    def test_nested_subqueries(self, db):
+        result = db.run_sql(
+            "select count(*) as n from t where a > "
+            "(select max(x) from u where x < (select avg(b) from t))"
+        )
+        # avg(t.b) = 2.0, so the middle query is max(x < 2) = 1.
+        assert result.rows[0][0] == 98
+
     def test_subquery_cost_included_in_estimate(self, db):
         from repro.optimizer.params import OptimizerParameters
         from repro.optimizer.planner import Planner

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.catalog import Catalog
 from repro.optimizer.params import OptimizerParameters
 from repro.optimizer.whatif import WhatIfOptimizer
 
@@ -29,6 +30,19 @@ class TestEstimation:
         single = whatif.estimate_query(sql).estimated_seconds
         total = whatif.estimate_workload([sql, sql, sql])
         assert total == pytest.approx(3 * single)
+
+    def test_workload_takes_one_fingerprint(self, whatif, monkeypatch):
+        statements = ["select count(*) as n from t where a < 10",
+                      "select count(*) as n from t",
+                      "select count(*) as n from t where a < 10"]
+        in_order = sum(whatif.estimate_query(sql).estimated_seconds
+                       for sql in statements)
+        calls = []
+        fingerprint = Catalog.fingerprint
+        monkeypatch.setattr(Catalog, "fingerprint",
+                            lambda self: calls.append(1) or fingerprint(self))
+        assert whatif.estimate_workload(statements) == in_order
+        assert len(calls) == 1
 
     def test_seconds_follow_conversion(self, whatif):
         estimate = whatif.estimate_query("select count(*) as n from t")
