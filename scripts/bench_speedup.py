@@ -188,7 +188,7 @@ def best_of(problem, cache, algorithm, grid, engine, repetitions):
 
 def run_benchmark(problem, cache, name, algorithm, grid, repetitions):
     print(f"[{name}] grid={grid} algorithm={algorithm}", file=sys.stderr)
-    # Untimed warm-up so one-time costs (plan cache, interpolation of
+    # Untimed warm-up so one-time costs (cost programs, interpolation of
     # first-touch corners) do not land on whichever run goes first.
     timed_run(problem, cache, algorithm, grid, engine=None)
 

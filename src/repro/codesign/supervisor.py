@@ -17,7 +17,7 @@ Units of work:
   costed under — the configuration is part of the replay key, so a
   cost measured with a hypothetical index in place can never be
   replayed into a different configuration (the memo analogue of the
-  ``Catalog.fingerprint()`` invalidation the optimizer caches use).
+  ``Catalog.fingerprint()`` invalidation the program table uses).
 
 Replay seeds the journaling model's memo; the resumed run re-walks the
 deterministic alternation, hits the memo for every journaled unit, and

@@ -217,10 +217,9 @@ class CostModel(ABC):
         """Hook: resolve shared state for a batch before fan-out.
 
         Runs serially in deterministic (first-appearance) order, so
-        anything order-sensitive — calibration experiments, lazily
-        created per-workload optimizers — happens identically for every
-        worker count, and the fanned-out :meth:`_cost` calls touch only
-        read-mostly state.
+        anything order-sensitive — calibration experiments — happens
+        identically for every worker count, and the fanned-out
+        :meth:`_cost` calls touch only read-mostly state.
         """
 
     @abstractmethod
@@ -240,7 +239,6 @@ class OptimizerCostModel(CostModel):
                  config_aware: bool = False):
         super().__init__()
         self._calibration = calibration
-        self._whatif: Dict[str, WhatIfOptimizer] = {}
         self._prepare_lock = threading.Lock()
         #: Fold each spec's catalog fingerprint into memo keys, so index
         #: DDL between evaluations invalidates instead of serving stale
@@ -258,7 +256,7 @@ class OptimizerCostModel(CostModel):
         return self._calibration.params_for(allocation)
 
     def _prepare_batch(self, todo) -> None:
-        """Resolve calibrations and per-workload optimizers serially.
+        """Resolve calibrations serially.
 
         Calibration experiments draw from sequential RNG/fault streams,
         so they must never run from pool workers; resolving every
@@ -269,23 +267,16 @@ class OptimizerCostModel(CostModel):
         """
         with self._prepare_lock:
             seen = set()
-            for spec, allocation in todo:
+            for _spec, allocation in todo:
                 key = allocation.as_tuple()
                 if key not in seen:
                     seen.add(key)
                     self.parameters_for(allocation)
-                if spec.name not in self._whatif:
-                    self._whatif[spec.name] = WhatIfOptimizer(
-                        spec.database.catalog,
-                        OptimizerParameters.defaults())
 
     def _cost(self, spec: WorkloadSpec, allocation: ResourceVector) -> float:
-        params = self.parameters_for(allocation)
-        whatif = self._whatif.get(spec.name)
-        if whatif is None:
-            whatif = WhatIfOptimizer(spec.database.catalog, params)
-            self._whatif[spec.name] = whatif
-        return whatif.with_params(params).estimate_workload(spec.workload.statements)
+        optimizer = WhatIfOptimizer(spec.database.catalog,
+                                    self.parameters_for(allocation))
+        return optimizer.estimate_workload(spec.workload.statements)
 
 
 class MeasuredCostModel(CostModel):

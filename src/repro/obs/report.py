@@ -31,7 +31,7 @@ Headline keys
 ``calibration_interpolated``   lookups answered by grid interpolation
 ``calibration_fresh``          lookups that triggered a new experiment
 ``whatif_estimates``           what-if optimizer estimates computed
-``whatif_cache_hits``          estimates answered from the plan cache
+``whatif_cache_hits``          statement repeats within one workload
 ``plans_built``                physical plans constructed by the planner
 ``statements_executed``        plans actually executed by the engine
 ``pages_seq_read``             sequential page reads (buffer-pool misses)

@@ -20,8 +20,8 @@ optimizer varies per resource allocation.
 
 Observability: every :meth:`Planner.plan_query` call increments the
 ``optimizer.plans`` counter and is timed into ``optimizer.plan_seconds``
-— the per-plan cost that what-if estimation pays when its plan cache
-misses.
+— the per-plan cost that what-if estimation pays when the catalog holds
+no compiled cost program for the query.
 """
 
 from __future__ import annotations

@@ -37,11 +37,11 @@ argument slots and stores its result. The same cost functions get the
 same arguments in the same order, so the result is bit-identical to
 re-running the planner under that ``P``, at a fraction of the work.
 
-Programs are only valid for the catalog they were compiled against:
-:class:`CostProgram.fingerprint` holds
-:meth:`repro.engine.catalog.Catalog.fingerprint` from compile time, and
-:class:`repro.optimizer.whatif.WhatIfOptimizer` refuses to replay a
-program whose fingerprint no longer matches. Queries whose structure
+A program is only valid for the catalog state it was recorded
+against; :mod:`repro.optimizer.whatif` keeps each catalog's programs
+in a table for one :meth:`repro.engine.catalog.Catalog.fingerprint`
+at a time and empties it when the fingerprint moves, so a program is
+never replayed after DDL, a load or ``analyze``. Queries whose structure
 *does* depend on ``P`` (join regions past the DP limit use greedy
 ordering, which prunes by cost) are flagged non-compilable at recording
 time and keep the full re-planning path.
@@ -77,18 +77,16 @@ Instruction = Tuple[int, Callable[..., float], Callable[[list], tuple]]
 
 
 class CostProgram:
-    """A compiled query: the replay tape plus validity metadata."""
+    """A compiled query: the replay tape, its value array and root slot."""
 
-    __slots__ = ("tape", "values", "root", "fingerprint", "est_rows")
+    __slots__ = ("tape", "values", "root")
 
     def __init__(self, tape: Tuple[Instruction, ...], values: list,
-                 root: Slot, fingerprint: tuple, est_rows: float):
+                 root: Slot):
         self.tape = tape
         #: Slot 0 holds ``P`` during a replay; constants fill their slots.
         self.values = values
         self.root = root
-        self.fingerprint = fingerprint
-        self.est_rows = est_rows
 
     def cost(self, params: OptimizerParameters) -> float:
         """Total plan cost under *params* — bit-identical to replanning."""
@@ -180,11 +178,9 @@ class PlanCostRecorder:
         slot, self._root = self._root, None
         return slot
 
-    def program(self, fingerprint: tuple,
-                est_rows: float) -> Optional[CostProgram]:
+    def program(self) -> Optional[CostProgram]:
         """The compiled program, or ``None`` if recording bailed out."""
         root = self.take_root()
         if not self.compilable or root is None:
             return None
-        return CostProgram(tuple(self._tape), self._values, root,
-                           fingerprint, est_rows)
+        return CostProgram(tuple(self._tape), self._values, root)

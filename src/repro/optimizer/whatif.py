@@ -8,31 +8,35 @@ unchanged; only ``P`` varies, exactly as Section 4 of the paper
 prescribes. Estimates are intended for *ranking* alternatives, not as
 absolute predictions.
 
-Optimize once, re-cost many: the first time a query is optimized, the
-planner also records a :class:`~repro.optimizer.recost.CostProgram` —
-a replayable cost expression whose structure (candidate plan shapes,
-join lattice, row estimates) is ``P``-independent. Subsequent
-estimates of the same query under *different* parameter sets replay
-the program instead of re-planning, producing bit-identical costs at a
-fraction of the work. Design search sweeps dozens of allocations over
-one workload, so this turns its optimizer bill from
-``O(queries x allocations)`` plans into ``O(queries)`` plans plus
-cheap re-costs. Programs are guarded by the catalog fingerprint: any
-DDL, data load, or ``analyze`` changes the fingerprint and invalidates
-them.
+Plan once per catalog, re-cost many: the first time a query is
+optimized against a catalog, the planner also records a
+:class:`~repro.optimizer.recost.CostProgram` — a replayable cost
+expression whose structure (candidate plan shapes, join lattice, row
+estimates) is ``P``-independent. Later estimates of the query against
+that catalog, by any optimizer under any ``P``, replay the program
+instead of re-planning, bit-identically and at a fraction of the work.
+However many cost models a design run builds, it pays ``O(queries)``
+plans per catalog plus cheap re-costs.
+
+The programs live in a table keyed weakly by catalog (they die with
+it; ``repro.engine`` stays optimizer-free) holding one ``(fingerprint,
+{sql: program})`` pair: the first lookup under a new
+:meth:`~repro.engine.catalog.Catalog.fingerprint` (any DDL, load or
+``analyze``) swaps in an empty table. Catalogs never share programs,
+however equal their fingerprints.
 
 Observability: full optimizations increment
-``optimizer.whatif.estimates``; program replays increment
-``optimizer.whatif.recosts``; estimates answered from the shared
-(query, ``P``, catalog) cache increment
-``optimizer.whatif.cache_hits``. Together they show how much true
-re-optimization the what-if mode performs across a design run.
+``optimizer.whatif.estimates``, program replays
+``optimizer.whatif.recosts``, and repeats of a statement within one
+workload (estimated once) ``optimizer.whatif.cache_hits``: together
+they show how much true re-optimization a design run performs.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.catalog import Catalog
 from repro.engine.plans import PlanNode
@@ -40,6 +44,13 @@ from repro.obs import metrics
 from repro.optimizer.params import OptimizerParameters
 from repro.optimizer.planner import Planner
 from repro.optimizer.recost import CostProgram, PlanCostRecorder
+
+#: sql -> compiled program, or ``None`` when the query's plan structure
+#: depends on ``P`` (not replayable).
+Programs = Dict[str, Optional[CostProgram]]
+#: Catalog -> (its fingerprint, the programs recorded under it).
+_PROGRAMS: "weakref.WeakKeyDictionary[Catalog, Tuple[tuple, Programs]]" = \
+    weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -73,28 +84,19 @@ class WhatIfOptimizer:
     def __init__(self, catalog: Catalog, params: Optional[OptimizerParameters] = None):
         self._catalog = catalog
         self._params = params or OptimizerParameters.defaults()
-        #: (P, catalog fingerprint) -> sql -> estimate.
-        self._plan_cache: Dict[tuple, Dict[str, QueryEstimate]] = {}
-        #: (sql, catalog fingerprint) -> compiled program, or None when
-        #: the query's plan structure depends on P (not replayable).
-        self._programs: Dict[tuple, Optional[CostProgram]] = {}
 
     @property
     def params(self) -> OptimizerParameters:
         return self._params
 
     def with_params(self, params: OptimizerParameters) -> "WhatIfOptimizer":
-        """A what-if instance for a different environment ``P``.
+        """A what-if instance over the same catalog for a different ``P``.
 
-        The catalog (access paths, statistics), the estimate cache, and
-        the compiled cost programs are shared — changing ``P`` must
-        never touch the database itself, and programs are exactly the
-        artifact that makes alternating between parameter sets cheap.
+        Changing ``P`` never touches the database itself; the compiled
+        cost programs live with the catalog, so the new instance
+        replays them like this one does.
         """
-        other = WhatIfOptimizer(self._catalog, params)
-        other._plan_cache = self._plan_cache
-        other._programs = self._programs
-        return other
+        return WhatIfOptimizer(self._catalog, params)
 
     # -- estimation ---------------------------------------------------------
 
@@ -115,25 +117,29 @@ class WhatIfOptimizer:
                    for estimate in self._estimates(statements))
 
     def _estimates(self, statements: Sequence[str]) -> List[QueryEstimate]:
-        """Estimate each statement against one catalog fingerprint."""
-        fingerprint = self._catalog.fingerprint()
-        cache = self._plan_cache.setdefault((self._params, fingerprint), {})
-        out, hits = [], 0
+        """Estimate each distinct statement once, at one fingerprint."""
+        catalog, fingerprint = self._catalog, self._catalog.fingerprint()
+        entry = _PROGRAMS.get(catalog)
+        if entry is None or entry[0] != fingerprint:
+            # A new fingerprint drops the old programs. The pair swaps
+            # whole: racing threads can lose a recording, never mix them.
+            entry = _PROGRAMS[catalog] = (fingerprint, {})
+        programs = entry[1]
+        seen: Dict[str, QueryEstimate] = {}
+        out = []
         for sql in statements:
-            estimate = cache.get(sql)
+            estimate = seen.get(sql)
             if estimate is None:
-                estimate = cache[sql] = self._estimate(sql, fingerprint)
-            else:
-                hits += 1
+                estimate = seen[sql] = self._estimate(sql, programs)
             out.append(estimate)
+        hits = len(out) - len(seen)
         if hits:
             metrics.counter("optimizer.whatif.cache_hits").inc(hits)
         return out
 
-    def _estimate(self, sql: str, fingerprint: tuple) -> QueryEstimate:
+    def _estimate(self, sql: str, programs: Programs) -> QueryEstimate:
         """Replay *sql*'s program under ``P``, or plan it (and record one)."""
-        program_key = (sql, fingerprint)
-        program = self._programs.get(program_key)
+        program = programs.get(sql)
         if program is not None:
             # Replay the recorded cost tape under the current P —
             # bit-identical to re-planning, without building a plan.
@@ -150,15 +156,13 @@ class WhatIfOptimizer:
 
         metrics.counter("optimizer.whatif.estimates").inc()
         planner = Planner(self._catalog, self._params)
-        if program_key in self._programs:
+        if sql in programs:
             # Known non-compilable: its plan structure depends on P.
             plan = planner.plan_sql(sql)
         else:
             recorder = PlanCostRecorder()
             plan = planner.plan_sql(sql, recorder)
-            self._programs[program_key] = recorder.program(
-                fingerprint, plan.est_rows
-            )
+            programs[sql] = recorder.program()
         return QueryEstimate(
             sql=sql,
             cost_units=plan.est_total_cost,

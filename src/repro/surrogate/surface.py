@@ -56,6 +56,7 @@ uncertainty existed load with all-zero uncertainty.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import product
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import metrics
@@ -179,7 +180,6 @@ class ParameterSurface:
             self._uncertainty[key] = max(0.0, float(value))
 
     def _iter_lattice(self):
-        from itertools import product
         return (knot for knot in product(*self._axes))
 
     # -- introspection ------------------------------------------------------
@@ -239,7 +239,6 @@ class ParameterSurface:
 
     def region_corners(self, region: Region) -> List[Knot]:
         """The (up to 8) corner knots of a lattice cell, sorted."""
-        from itertools import product
         brackets = []
         for axis in range(3):
             values = self._axes[axis]
@@ -315,7 +314,6 @@ class ParameterSurface:
                 brackets.append((values[pos], values[pos]))
             else:
                 brackets.append((values[pos - 1], values[pos]))
-        from itertools import product
         for corner in product(*brackets):
             weight = 1.0
             for axis in range(3):

@@ -1,8 +1,8 @@
 """Index DDL must invalidate every cost cache, compiled or memoized.
 
 The co-tuning loop re-costs the same (workload, allocation) pair under
-many hypothetical index sets. Three layers cache those costs — the
-what-if plan cache, the compiled recost ``CostProgram`` store, and the
+many hypothetical index sets. Two layers cache those costs — the
+catalog's table of compiled recost ``CostProgram``s and the
 ``OptimizerCostModel`` memo — and each keys on
 ``Catalog.fingerprint()``. If any of them survived index DDL, a
 candidate's what-if cost would be the *pre*-index cost and every
@@ -12,11 +12,14 @@ invalidation.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.obs import metrics
 from repro.optimizer.params import OptimizerParameters
-from repro.optimizer.whatif import WhatIfOptimizer
+from repro.optimizer.recost import CostProgram
+from repro.optimizer.whatif import _PROGRAMS, WhatIfOptimizer
 from repro.workloads import tpch_query
 
 from .conftest import make_cost_model, make_db, make_problem
@@ -54,7 +57,7 @@ class TestStaleRecostPrograms:
         sql = tpch_query("Q4")
 
         optimizer.estimate_query(sql)   # compiles the program
-        optimizer.estimate_query(sql)   # same fingerprint: plan-cache hit
+        optimizer.estimate_query(sql)   # same fingerprint: a replay
         estimates_before = metrics.counter("optimizer.whatif.estimates").value
         recosts_before = metrics.counter("optimizer.whatif.recosts").value
 
@@ -89,6 +92,37 @@ class TestStaleRecostPrograms:
         other.estimate_query(sql)
         assert (metrics.counter("optimizer.whatif.recosts").value
                 == recosts_before + 1)
+
+
+class TestProgramTable:
+    """The catalog's program table holds one fingerprint at a time."""
+
+    def test_create_cost_drop_cycles_keep_one_fingerprint(self):
+        problem = make_problem()
+        model = make_cost_model(problem, config_aware=True)
+        spec = problem.specs[0]
+        catalog = spec.database.catalog
+        vector = problem.default_allocation().vector_for(spec.name)
+        statements = set(spec.workload.statements)
+
+        def live_programs() -> int:
+            gc.collect()
+            return sum(isinstance(obj, CostProgram)
+                       for obj in gc.get_objects())
+
+        before = live_programs()
+        model.cost_many([(spec, vector)])
+        for column in ("o_orderdate", "o_custkey", "o_totalprice"):
+            catalog.create_hypothetical_index(
+                f"cdx_orders_{column}", "orders", column)
+            assert model.cost_many([(spec, vector)]).fresh == 1
+            assert _PROGRAMS[catalog][0] == catalog.fingerprint()
+            assert set(_PROGRAMS[catalog][1]) == statements
+            catalog.drop_index(f"cdx_orders_{column}")
+        # The pre-DDL fingerprint is back; its programs were dropped.
+        WhatIfOptimizer(catalog).estimate_workload(spec.workload.statements)
+        assert _PROGRAMS[catalog][0] == catalog.fingerprint()
+        assert live_programs() - before <= len(statements)
 
 
 class TestConfigAwareMemo:

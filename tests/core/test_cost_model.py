@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.cost_model import MeasuredCostModel, OptimizerCostModel
 from repro.core.problem import WorkloadSpec
+from repro.obs import metrics
 from repro.virt.resources import ResourceVector
 from repro.workloads import build_tpch_database
 from repro.workloads.workload import Workload
@@ -41,6 +42,21 @@ class TestOptimizerCostModel:
     def test_less_cpu_costs_more(self, spec, calibration_cache):
         model = OptimizerCostModel(calibration_cache)
         assert model.cost(spec, alloc(cpu=0.25)) > model.cost(spec, alloc(cpu=0.75))
+
+    def test_models_over_one_catalog_plan_once(self, spec, calibration_cache):
+        """Programs live with the catalog: a second model, or a second
+        spec carrying the same SQL, replays them without planning."""
+        pairs = [(spec, alloc(cpu=0.3)), (spec, alloc(cpu=0.6))]
+        first = OptimizerCostModel(calibration_cache).cost_many(pairs).costs
+        planned = metrics.counter("optimizer.whatif.estimates").value
+        renamed = WorkloadSpec(Workload.of_queries("renamed", ["Q4", "Q12"]),
+                               spec.database)
+        second = OptimizerCostModel(calibration_cache)
+        for batch in (pairs, [(renamed, vector) for _spec, vector in pairs]):
+            outcome = second.cost_many(batch)
+            assert outcome.fresh == len(batch)
+            assert [c.hex() for c in outcome.costs] == [c.hex() for c in first]
+        assert metrics.counter("optimizer.whatif.estimates").value == planned
 
     def test_parameters_for_exposes_calibration(self, spec, calibration_cache):
         model = OptimizerCostModel(calibration_cache)

@@ -35,8 +35,8 @@ def tpch():
     programs = {}
     for name in QUERIES:
         recorder = PlanCostRecorder()
-        plan = Planner(db.catalog, DEFAULTS).plan_sql(tpch_query(name), recorder)
-        program = recorder.program(db.catalog.fingerprint(), plan.est_rows)
+        Planner(db.catalog, DEFAULTS).plan_sql(tpch_query(name), recorder)
+        program = recorder.program()
         if program is not None:
             programs[name] = program
     return db, programs
@@ -97,8 +97,8 @@ class CountingRecorder(PlanCostRecorder):
 def test_interning_shortens_the_q5_lattice(tpch):
     db, _programs = tpch
     recorder = CountingRecorder()
-    plan = Planner(db.catalog, DEFAULTS).plan_sql(tpch_query("Q5"), recorder)
-    program = recorder.program(db.catalog.fingerprint(), plan.est_rows)
+    Planner(db.catalog, DEFAULTS).plan_sql(tpch_query("Q5"), recorder)
+    program = recorder.program()
     # The 6-way DP lattice sorts the same subplans and prices the same
     # predicates over and over; each distinct instruction runs once.
     assert len(program.tape) < recorder.requests
@@ -110,7 +110,7 @@ def identity(params, value):
 
 def replay(recorder, slot):
     recorder.deposit_root(slot)
-    return recorder.program((), 1.0).cost(DEFAULTS)
+    return recorder.program().cost(DEFAULTS)
 
 
 @pytest.mark.parametrize("a, b", [(1, 1.0), (1, True), (0, 0.0), (0, False),
@@ -140,7 +140,7 @@ def test_interning_merges_identical_instructions():
     assert recorder.minimum([first]) == first  # one candidate: no decision
     assert recorder.minimum([base, first]) == recorder.minimum([base, first])
     recorder.deposit_root(first)
-    assert len(recorder.program((), 1.0).tape) == 4
+    assert len(recorder.program().tape) == 4
     assert replay(recorder, first) == 5.5
 
 

@@ -1,10 +1,23 @@
 """Tests for the virtualization-aware what-if optimizer mode."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.engine.catalog import Catalog
+from repro.engine.database import Database
+from repro.obs import metrics
 from repro.optimizer.params import OptimizerParameters
+from repro.optimizer.planner import Planner
 from repro.optimizer.whatif import WhatIfOptimizer
+
+from ..conftest import simple_schema
+
+
+def plans() -> float:
+    """Queries planned so far (a replay or an in-workload repeat is not)."""
+    return metrics.counter("optimizer.whatif.estimates").value
 
 
 @pytest.fixture
@@ -22,8 +35,18 @@ class TestEstimation:
     def test_estimates_deterministic_and_cached(self, whatif):
         sql = "select count(*) as n from t where a < 100"
         first = whatif.estimate_query(sql)
+        planned = plans()
         second = whatif.estimate_query(sql)
-        assert first is second  # plan cache hit
+        assert plans() == planned  # the compiled program replays
+        assert second.cost_units.hex() == first.cost_units.hex()
+        assert second.estimated_seconds == first.estimated_seconds
+
+    def test_repeats_within_a_workload_are_estimated_once(self, whatif):
+        sql = "select count(*) as n from t where a < 100"
+        hits = metrics.counter("optimizer.whatif.cache_hits")
+        before, planned = hits.value, plans()
+        whatif.estimate_workload([sql, sql, sql])
+        assert (plans() - planned, hits.value - before) == (1, 2)
 
     def test_workload_sums_queries(self, whatif):
         sql = "select count(*) as n from t"
@@ -79,10 +102,14 @@ class TestParameterSwapping:
         assert "IndexScan" in low_random.plan.explain()
         assert "IndexScan" not in high_random.plan.explain()
 
-    def test_plan_cache_shared_across_with_params(self, whatif):
+    def test_programs_shared_across_with_params(self, whatif):
         sql = "select count(*) as n from t"
+        first = whatif.estimate_query(sql)
+        planned = plans()
         variant = whatif.with_params(whatif.params)
-        assert variant.estimate_query(sql) is whatif.estimate_query(sql)
+        assert variant.estimate_query(sql).cost_units.hex() == \
+            first.cost_units.hex()
+        assert plans() == planned
 
     def test_compare_lists_all(self, whatif):
         sql = "select count(*) as n from t"
@@ -91,6 +118,78 @@ class TestParameterSwapping:
         estimates = whatif.compare(sql, sets)
         costs = [e.cost_units for e in estimates]
         assert costs == sorted(costs)
+
+
+class TestProgramsBelongToTheCatalog:
+    def test_fresh_optimizers_replay_the_catalogs_programs(self, simple_db):
+        sqls = ["select count(*) as n from t where a < 100",
+                "select b from t where a between 10 and 30"]
+        WhatIfOptimizer(simple_db.catalog).estimate_workload(sqls)
+        planned = plans()
+        other = OptimizerParameters.defaults().with_values(
+            cpu_tuple_cost=0.03, random_page_cost=2.0)
+        fresh = WhatIfOptimizer(simple_db.catalog, other)
+        sibling = fresh.with_params(OptimizerParameters.defaults())
+        for optimizer in (fresh, sibling):
+            for sql in sqls:
+                expected = Planner(simple_db.catalog,
+                                   optimizer.params).plan_sql(sql)
+                assert optimizer.estimate_query(sql).cost_units.hex() == \
+                    expected.est_total_cost.hex()
+        assert plans() == planned
+
+    def test_equal_fingerprints_never_share_programs(self, simple_db):
+        """Same row counts, different values: equal fingerprints, yet
+        each catalog plans against its own statistics."""
+        twin = Database("twin", memory_pages=2048)
+        twin.create_table(simple_schema())
+        twin.load_rows("t", [(i % 50, i % 3, f"row {i}")
+                             for i in range(1000)])
+        twin.create_index("t_a_idx", "t", "a")
+        twin.analyze()
+        assert twin.catalog.fingerprint() == simple_db.catalog.fingerprint()
+
+        sql = "select count(*) as n from t where a < 100"
+        original = WhatIfOptimizer(simple_db.catalog).estimate_query(sql)
+        planned = plans()
+        copy = WhatIfOptimizer(twin.catalog).estimate_query(sql)
+        assert plans() == planned + 1
+        expected = Planner(twin.catalog,
+                           OptimizerParameters.defaults()).plan_sql(sql)
+        assert copy.cost_units == expected.est_total_cost
+        assert copy.cost_units != original.cost_units
+
+
+    def test_threads_sharing_a_catalog_match_the_planner(self, simple_db):
+        """Racing first lookups may each swap in a table and lose a
+        recording, but no thread ever replays a wrong program."""
+        catalog = simple_db.catalog
+        sqls = ["select count(*) as n from t where a < 100",
+                "select b from t where a between 10 and 30",
+                "select count(*) as n from t where b = 3"]
+        sets = [OptimizerParameters.defaults().with_values(
+                    cpu_tuple_cost=0.002 * (1 + i), random_page_cost=1.0 + i)
+                for i in range(8)]
+        expected = [[Planner(catalog, params).plan_sql(sql).est_total_cost.hex()
+                     for sql in sqls] for params in sets]
+
+        def estimate(params):
+            return [WhatIfOptimizer(catalog, params).estimate_query(sql)
+                    .cost_units.hex() for sql in sqls]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(estimate, params)
+                           for params in sets * 4]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected * 4
+        planned = plans()
+        WhatIfOptimizer(catalog).estimate_workload(sqls)
+        assert plans() == planned
 
 
 class TestExplain:
