@@ -21,7 +21,9 @@ Batched evaluation
 ``(spec, allocation)`` pairs at once: duplicate pairs are evaluated
 once, memo hits are served without recomputation, and the fresh
 remainder can be fanned out over a
-:class:`repro.parallel.EvaluationEngine`. The returned
+:class:`repro.parallel.EvaluationEngine`; the optimizer model resolves
+each distinct allocation's ``P`` once per batch and hands it to every
+evaluation there. The returned
 :class:`BatchOutcome` carries the number of fresh (uncached)
 evaluations the batch actually paid for — searches account their spend
 from these counts instead of diffing the shared
@@ -43,6 +45,7 @@ with ``SearchResult.evaluations`` (see
 from __future__ import annotations
 
 import threading
+import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -178,12 +181,12 @@ class CostModel(ABC):
 
         fresh = 0
         if todo:
-            self._prepare_batch(todo)
+            items = self._prepare_batch(todo)
             if (engine is not None and engine.workers > 1
                     and self.parallel_safe and len(todo) > 1):
-                timed = engine.map(self._timed_cost, todo)
+                timed = engine.map(self._timed_cost, items)
             else:
-                timed = [self._timed_cost(pair) for pair in todo]
+                timed = [self._timed_cost(item) for item in items]
             with self._memo_lock:
                 for key, (value, seconds) in zip(todo_keys, timed):
                     # Another caller may have raced us to this pair;
@@ -202,25 +205,24 @@ class CostModel(ABC):
         return BatchOutcome(costs=[values[key] for key in keys],
                             fresh=fresh, hits=hits)
 
-    def _timed_cost(self, pair: Tuple[WorkloadSpec, ResourceVector]
-                    ) -> Tuple[float, float]:
+    def _timed_cost(self, item: tuple) -> Tuple[float, float]:
         """One uncached evaluation plus its host seconds (engine task)."""
-        import time as _time
+        start = time.perf_counter()
+        value = self._cost(*item)
+        return value, time.perf_counter() - start
 
-        spec, allocation = pair
-        start = _time.perf_counter()
-        value = self._cost(spec, allocation)
-        return value, _time.perf_counter() - start
-
-    def _prepare_batch(self, todo: Sequence[Tuple[WorkloadSpec,
-                                                  ResourceVector]]) -> None:
-        """Hook: resolve shared state for a batch before fan-out.
+    def _prepare_batch(self, todo: List[Tuple[WorkloadSpec, ResourceVector]]
+                       ) -> List[tuple]:
+        """Hook: turn the fresh pairs into :meth:`_cost` argument tuples.
 
         Runs serially in deterministic (first-appearance) order, so
         anything order-sensitive — calibration experiments — happens
         identically for every worker count, and the fanned-out
-        :meth:`_cost` calls touch only read-mostly state.
+        :meth:`_cost` calls touch only read-mostly state. What it
+        resolves travels in the items, never on the model: two batches
+        may interleave on one model.
         """
+        return todo
 
     @abstractmethod
     def _cost(self, spec: WorkloadSpec, allocation: ResourceVector) -> float:
@@ -255,27 +257,30 @@ class OptimizerCostModel(CostModel):
     def parameters_for(self, allocation: ResourceVector) -> OptimizerParameters:
         return self._calibration.params_for(allocation)
 
-    def _prepare_batch(self, todo) -> None:
-        """Resolve calibrations serially.
+    def _prepare_batch(self, todo) -> List[tuple]:
+        """Resolve each distinct allocation's ``P`` once, serially.
 
         Calibration experiments draw from sequential RNG/fault streams,
         so they must never run from pool workers; resolving every
-        unique allocation here (in first-appearance order) leaves the
-        fanned-out estimates reading an already-warm cache. The order
-        is a function of the batch alone, which is what makes 1-worker
-        and N-worker runs bit-identical.
+        unique allocation here (in first-appearance order) and handing
+        its ``P`` to each evaluation at it leaves the fanned-out
+        estimates with no lookup at all. The order is a function of the
+        batch alone, which is what makes 1-worker and N-worker runs
+        bit-identical.
         """
         with self._prepare_lock:
-            seen = set()
+            resolved: Dict[tuple, OptimizerParameters] = {}
             for _spec, allocation in todo:
                 key = allocation.as_tuple()
-                if key not in seen:
-                    seen.add(key)
-                    self.parameters_for(allocation)
+                if key not in resolved:
+                    resolved[key] = self.parameters_for(allocation)
+        return [(spec, allocation, resolved[allocation.as_tuple()])
+                for spec, allocation in todo]
 
-    def _cost(self, spec: WorkloadSpec, allocation: ResourceVector) -> float:
-        optimizer = WhatIfOptimizer(spec.database.catalog,
-                                    self.parameters_for(allocation))
+    def _cost(self, spec: WorkloadSpec, allocation: ResourceVector,
+              params: Optional[OptimizerParameters] = None) -> float:
+        optimizer = WhatIfOptimizer(
+            spec.database.catalog, params or self.parameters_for(allocation))
         return optimizer.estimate_workload(spec.workload.statements)
 
 

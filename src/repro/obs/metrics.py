@@ -183,10 +183,16 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._instruments: Dict[Tuple[str, LabelsKey], object] = {}
         self._kinds: Dict[str, str] = {}
+        #: ``(kind, name, *labels.items())`` -> instrument: O(1) repeats.
+        self._handles: Dict[tuple, object] = {}
 
     # -- instrument access -------------------------------------------------
 
     def _get(self, kind: str, name: str, labels: Dict[str, str]):
+        handle = (kind, name, *labels.items())
+        instrument = self._handles.get(handle)
+        if instrument is not None:
+            return instrument
         key = (name, _labels_key(labels))
         with self._lock:
             existing_kind = self._kinds.get(name)
@@ -200,6 +206,9 @@ class MetricsRegistry:
                 instrument = self._KINDS[kind](name, labels, self._lock)
                 self._instruments[key] = instrument
                 self._kinds[name] = kind
+            if all(type(value) is str for value in labels.values()):
+                # 1, 1.0 and True hash alike but label apart.
+                self._handles[handle] = instrument
             return instrument
 
     def counter(self, name: str, **labels: str) -> Counter:
@@ -305,6 +314,7 @@ class MetricsRegistry:
         with self._lock:
             self._instruments.clear()
             self._kinds.clear()
+            self._handles.clear()
 
 
 #: The process-wide default registry used by the library's own

@@ -334,7 +334,7 @@ class RunReport:
              f"{summary['calibration_fresh']:.0f} fresh"],
             ["what-if estimates",
              f"{summary['whatif_estimates']:.0f} "
-             f"({summary['whatif_cache_hits']:.0f} plan-cache hits)"],
+             f"({summary['whatif_cache_hits']:.0f} statement repeats)"],
             ["plans built / executed",
              f"{summary['plans_built']:.0f} / "
              f"{summary['statements_executed']:.0f}"],

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import product
+from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import metrics
@@ -76,6 +77,8 @@ AXIS_NAMES = ("cpu", "memory", "io")
 RATIO_NAMES = ("random_page_cost", "cpu_tuple_cost",
                "cpu_index_tuple_cost", "cpu_operator_cost",
                "cpu_like_byte_cost")
+
+_ratios_of = attrgetter(*RATIO_NAMES)
 
 Knot = Tuple[float, float, float]
 
@@ -104,34 +107,26 @@ def blend_corners(corners: Sequence[Tuple[OptimizerParameters, float]],
     total = sum(weight for _params, weight in corners)
     if not corners or total <= 0:
         raise SurrogateError("corner blend needs positive total weight")
-    blended_times: Dict[str, float] = {name: 0.0 for name in RATIO_NAMES}
+    blended_times = [0.0] * len(RATIO_NAMES)
     blended_t_seq = 0.0
     blended_cache = 0.0
     blended_sort = 0.0
     for params, weight in corners:
         share = weight / total
-        blended_t_seq += params.seconds_per_seq_page * share
+        t_seq = params.seconds_per_seq_page
+        blended_t_seq += t_seq * share
         blended_cache += params.effective_cache_size * share
         blended_sort += params.sort_mem_pages * share
-        values = params.as_dict()
-        for name in RATIO_NAMES:
-            blended_times[name] += (
-                values[name] * params.seconds_per_seq_page * share
-            )
-    ratios = {name: blended_times[name] / blended_t_seq
-              for name in RATIO_NAMES}
+        for i, value in enumerate(_ratios_of(params)):
+            blended_times[i] += value * t_seq * share
+    ratios = [blended / blended_t_seq for blended in blended_times]
     if clamp:
-        for name in RATIO_NAMES:
-            observed = [params.as_dict()[name] for params, _w in corners]
-            ratios[name] = min(max(ratios[name], min(observed)),
-                               max(observed))
+        observed = zip(*(_ratios_of(params) for params, _w in corners))
+        ratios = [min(max(ratio, min(values)), max(values))
+                  for ratio, values in zip(ratios, observed)]
     return OptimizerParameters(
         seq_page_cost=1.0,
-        random_page_cost=ratios["random_page_cost"],
-        cpu_tuple_cost=ratios["cpu_tuple_cost"],
-        cpu_index_tuple_cost=ratios["cpu_index_tuple_cost"],
-        cpu_operator_cost=ratios["cpu_operator_cost"],
-        cpu_like_byte_cost=ratios["cpu_like_byte_cost"],
+        **dict(zip(RATIO_NAMES, ratios)),
         effective_cache_size=int(blended_cache),
         sort_mem_pages=int(blended_sort),
         seconds_per_seq_page=blended_t_seq,
@@ -305,7 +300,6 @@ class ParameterSurface:
             result = "clamped" if guard_fired else "hit"
             metrics.counter("surrogate.lookups", result=result).inc()
             return exact
-        corners: List[Tuple[OptimizerParameters, float]] = []
         brackets = []
         for axis in range(3):
             values = self._axes[axis]
@@ -314,15 +308,13 @@ class ParameterSurface:
                 brackets.append((values[pos], values[pos]))
             else:
                 brackets.append((values[pos - 1], values[pos]))
+        fractions = [0.0 if hi == lo else (share - lo) / (hi - lo)
+                     for (lo, hi), share in zip(brackets, clamped)]
+        corners: List[Tuple[OptimizerParameters, float]] = []
         for corner in product(*brackets):
             weight = 1.0
-            for axis in range(3):
-                lo, hi = brackets[axis]
-                if hi == lo:
-                    fraction = 0.0
-                else:
-                    fraction = (clamped[axis] - lo) / (hi - lo)
-                weight *= (1.0 - fraction) if corner[axis] == lo else fraction
+            for coord, (lo, _hi), fraction in zip(corner, brackets, fractions):
+                weight *= (1.0 - fraction) if coord == lo else fraction
             if weight > 0:
                 corners.append((self._knots[corner], weight))
         metrics.counter(

@@ -72,7 +72,10 @@ class ResourceVector:
 
     def share(self, kind: ResourceKind) -> float:
         """The fraction of *kind* in this vector (0 if absent)."""
-        return self._shares.get(ResourceKind(kind), 0.0)
+        share = self._shares.get(kind)
+        if share is None:  # absent, or not a member: coerce (may raise)
+            return self._shares.get(ResourceKind(kind), 0.0)
+        return share
 
     @property
     def cpu(self) -> float:
@@ -104,7 +107,10 @@ class ResourceVector:
 
     def as_tuple(self) -> tuple:
         """Shares in canonical (cpu, memory, io) order."""
-        return tuple(self.share(kind) for kind in ALL_RESOURCES)
+        shares = self._shares
+        return (shares.get(ResourceKind.CPU, 0.0),
+                shares.get(ResourceKind.MEMORY, 0.0),
+                shares.get(ResourceKind.IO, 0.0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ResourceVector):

@@ -1,10 +1,17 @@
 """Tests for the optimizer-based and measured cost models."""
 
+import sys
+import threading
+from itertools import product
+
 import pytest
 
 from repro.core.cost_model import MeasuredCostModel, OptimizerCostModel
 from repro.core.problem import WorkloadSpec
 from repro.obs import metrics
+from repro.optimizer.params import OptimizerParameters
+from repro.parallel import EvaluationEngine
+from repro.surrogate.surface import ParameterSurface
 from repro.virt.resources import ResourceVector
 from repro.workloads import build_tpch_database
 from repro.workloads.workload import Workload
@@ -12,6 +19,20 @@ from repro.workloads.workload import Workload
 
 def alloc(cpu=0.5, memory=0.5, io=0.5):
     return ResourceVector.of(cpu=cpu, memory=memory, io=io)
+
+
+def tiny_surface():
+    """A 2x2x2 lattice of synthetic parameters: pure, instant lookups."""
+    return ParameterSurface({
+        (cpu, memory, io): OptimizerParameters().with_values(
+            cpu_tuple_cost=0.01 / cpu, random_page_cost=2.0 + 4.0 * memory,
+            seconds_per_seq_page=1e-4 / io)
+        for cpu, memory, io in product((0.25, 0.75), repeat=3)
+    })
+
+
+def hexes(costs):
+    return [cost.hex() for cost in costs]
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +78,76 @@ class TestOptimizerCostModel:
             assert outcome.fresh == len(batch)
             assert [c.hex() for c in outcome.costs] == [c.hex() for c in first]
         assert metrics.counter("optimizer.whatif.estimates").value == planned
+
+    def test_batch_resolves_each_allocation_once(self, spec,
+                                                 calibration_cache):
+        """k distinct allocations x n specs cost k lookups of ``P``, in
+        any pair order; a single-pair ``cost`` still resolves its own."""
+        renamed = WorkloadSpec(Workload.of_queries("lookups", ["Q4"]),
+                               spec.database)
+        v0, v1, v2 = alloc(cpu=0.25), alloc(), alloc(cpu=0.75)
+        pairs = [(spec, v0), (renamed, v1), (renamed, v0), (spec, v2),
+                 (spec, v1), (renamed, v2)]
+        registry = metrics.get_registry()
+        for source, counter in ((calibration_cache,
+                                 "calibration.cache.exact_hits"),
+                                (tiny_surface(), "surrogate.lookups")):
+            for vector in (v0, v1, v2):  # calibrate now: later lookups hit
+                source.params_for(vector)
+            before = registry.total(counter)
+            outcome = OptimizerCostModel(source).cost_many(pairs)
+            assert outcome.fresh == len(pairs)
+            assert registry.total(counter) - before == 3
+            single = OptimizerCostModel(source)
+            before = registry.total(counter)
+            alone = [single.cost(s, vector) for s, vector in pairs]
+            assert registry.total(counter) - before == len(pairs)
+            assert hexes(alone) == hexes(outcome.costs)
+
+    def test_interleaved_batches_match_serial_costs(self, spec):
+        """Two threads batch different allocations on one model; every
+        cost equals the serial one, for serial, thread and process
+        evaluation. The resolved ``P`` travels with each batch."""
+        surface = tiny_surface()
+        renamed = WorkloadSpec(Workload.of_queries("interleaved", ["Q12"]),
+                               spec.database)
+        batches = [
+            [(s, alloc(cpu=cpu)) for cpu in (0.3, 0.4, 0.5)
+             for s in (spec, renamed)],
+            [(s, alloc(cpu=cpu, memory=0.6, io=0.7)) for cpu in (0.55, 0.65)
+             for s in (renamed, spec)],
+        ]
+        serial = [hexes(OptimizerCostModel(surface).cost_many(batch).costs)
+                  for batch in batches]
+        with EvaluationEngine(2, "process") as forked:
+            model = OptimizerCostModel(surface)
+            assert [hexes(model.cost_many(batch, engine=forked).costs)
+                    for batch in batches] == serial
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with EvaluationEngine(2, "thread") as threaded:
+                for engine in (None, threaded):
+                    for _round in range(3):
+                        model = OptimizerCostModel(surface)
+                        got = {}
+                        barrier = threading.Barrier(len(batches))
+
+                        def run(index):
+                            barrier.wait(timeout=30)
+                            got[index] = hexes(model.cost_many(
+                                batches[index], engine=engine).costs)
+
+                        threads = [threading.Thread(target=run, args=(i,))
+                                   for i in range(len(batches))]
+                        for thread in threads:
+                            thread.start()
+                        for thread in threads:
+                            thread.join(timeout=60)
+                            assert not thread.is_alive()
+                        assert [got[i] for i in range(len(batches))] == serial
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_parameters_for_exposes_calibration(self, spec, calibration_cache):
         model = OptimizerCostModel(calibration_cache)

@@ -130,6 +130,38 @@ class TestKindClash:
         with pytest.raises(ObservabilityError):
             registry.gauge("x", b="2")
 
+    def test_clash_detected_after_a_cached_handle(self, registry):
+        registry.counter("x", a="1")
+        registry.counter("x", a="1")  # served from the handle table
+        with pytest.raises(ObservabilityError):
+            registry.gauge("x", a="1")
+        with pytest.raises(ObservabilityError):
+            registry.gauge("x")
+
+
+class TestHandles:
+    def test_keyword_order_maps_to_one_instrument(self, registry):
+        first = registry.counter("c", a="1", b="2")
+        assert registry.counter("c", b="2", a="1") is first
+        assert registry.counter("c", a="1", b="2") is first
+        assert len(registry.snapshot()["counters"]) == 1
+
+    def test_equal_hashing_labels_keep_distinct_series(self, registry):
+        registry.counter("c", k=1).inc()
+        registry.counter("c", k=1.0).inc(2)
+        registry.counter("c", k=True).inc(4)
+        assert registry.value("c", k="1") == 1.0
+        assert registry.value("c", k="1.0") == 2.0
+        assert registry.value("c", k="True") == 4.0
+
+    def test_reset_drops_handles(self, registry):
+        stale = registry.counter("x", a="1")
+        registry.reset()
+        fresh = registry.gauge("x", a="1")  # no clash: the kind is gone
+        assert fresh is not stale
+        registry.reset()
+        assert registry.counter("x", a="1") is not stale
+
 
 class TestSnapshotAndReset:
     def test_snapshot_shape(self, registry):

@@ -40,6 +40,23 @@ class TestResourceVector:
         vec = ResourceVector({"cpu": 0.3})
         assert vec.cpu == 0.3
 
+    def test_share_by_member_string_and_absent_kind(self):
+        vec = ResourceVector({ResourceKind.CPU: 0.3})
+        assert vec.share(ResourceKind.CPU) == 0.3
+        assert vec.share("cpu") == 0.3
+        assert vec.share(ResourceKind.IO) == 0.0
+        assert vec.share("memory") == 0.0
+
+    def test_share_of_unknown_kind_raises(self):
+        with pytest.raises(ValueError, match="not a valid ResourceKind"):
+            ResourceVector.of(cpu=0.5).share("gpu")
+
+    def test_as_tuple_is_canonical_with_absent_kinds_zero(self):
+        assert ResourceVector({"io": 0.2, "cpu": 0.7}).as_tuple() == (
+            0.7, 0.0, 0.2)
+        assert ResourceVector.of(cpu=0.1, memory=0.2, io=0.3).as_tuple() == (
+            0.1, 0.2, 0.3)
+
     def test_with_share_returns_new_vector(self):
         vec = ResourceVector.of(cpu=0.5)
         updated = vec.with_share(ResourceKind.CPU, 0.7)
